@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "relock/adapt/adaptor.hpp"
+#include "relock/adapt/policy_engine.hpp"
 #include "relock/core/configurable_lock.hpp"
 #include "relock/sim/machine.hpp"
 #include "relock/workload/samplers.hpp"
@@ -46,8 +46,12 @@ int main() {
     pp.block_above_ns = 400'000.0;
     pp.spin_below_ns = 100'000.0;
     pp.min_samples = 4;
-    adapt::Adaptor<SimPlatform> adaptor(
-        lock, std::make_unique<adapt::SpinBlockHysteresisPolicy>(pp));
+    adapt::PolicyEngine<SimPlatform>::Options eo;
+    eo.capacity = 1;
+    eo.cooldown_ticks = 0;
+    adapt::PolicyEngine<SimPlatform> engine(eo);
+    engine.register_lock(lock,
+                         std::make_unique<adapt::SpinBlockHysteresisPolicy>(pp));
 
     std::uint32_t lockers_done = 0;
     for (std::uint32_t i = 0; i < kLockers; ++i) {
@@ -75,13 +79,13 @@ int main() {
       m.spawn(static_cast<ProcId>(kLockers), [&](Thread& t) {
         while (lockers_done < kLockers) {
           m.compute(t, 4'000'000);
-          adaptor.step(t);
+          engine.tick(t);
         }
       });
     }
     m.run();
     std::printf("  reconfigurations applied: %llu\n",
-                static_cast<unsigned long long>(adaptor.actions_applied()));
+                static_cast<unsigned long long>(engine.counters().applied));
     return m.now();
   };
 

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "relock/adapt/adaptor.hpp"
+#include "relock/adapt/policy_engine.hpp"
 #include "relock/core/configurable_lock.hpp"
 #include "relock/platform/clock.hpp"
 #include "relock/platform/native.hpp"
@@ -36,7 +36,12 @@ int main() {
   policy_params.block_above_ns = 300'000.0;  // long phase: >300us holds
   policy_params.spin_below_ns = 50'000.0;
   policy_params.min_samples = 4;
-  relock::adapt::Adaptor<NP> adaptor(
+  // A one-lock engine: no cooldown, the policy's own band is the damper.
+  relock::adapt::PolicyEngine<NP>::Options engine_options;
+  engine_options.capacity = 1;
+  engine_options.cooldown_ticks = 0;
+  relock::adapt::PolicyEngine<NP> engine(engine_options);
+  engine.register_lock(
       lock, std::make_unique<relock::adapt::SpinBlockHysteresisPolicy>(
                 policy_params));
 
@@ -63,7 +68,7 @@ int main() {
     relock::native::Context ctx(domain);
     while (!stop.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      if (adaptor.step(ctx)) {
+      if (engine.tick(ctx) > 0) {
         std::printf("[agent] reconfigured waiting policy to: %s\n",
                     relock::to_string(relock::classify(lock.attributes())));
       }
@@ -86,7 +91,7 @@ int main() {
   for (auto& t : workers) t.join();
 
   std::printf("adaptations applied: %llu\n",
-              static_cast<unsigned long long>(adaptor.actions_applied()));
+              static_cast<unsigned long long>(engine.counters().applied));
   std::printf("final policy: %s\n",
               relock::to_string(relock::classify(lock.attributes())));
   return 0;

@@ -5,8 +5,8 @@
 // own attributes."
 //
 // A policy consumes periodic LockStats deltas from the monitor module and
-// emits configuration actions; the Adaptor (adaptor.hpp) applies them to a
-// lock via possess/configure.
+// emits configuration actions; the PolicyEngine (policy_engine.hpp) applies
+// them to a lock via possess/configure.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,9 @@ struct StatsDelta {
   double mean_hold_ns = 0.0;
   double mean_wait_ns = 0.0;
   /// Domain census at evaluation time: more registered threads than
-  /// processors. Filled by the caller (Adaptor / PolicyEngine) on
-  /// platforms that expose a census, false elsewhere - it is an input to
-  /// the cost-model and scheduler-switch policies, not a monitor counter.
+  /// processors. Filled by the PolicyEngine on platforms that expose a
+  /// census, false elsewhere - it is an input to the cost-model and
+  /// scheduler-switch policies, not a monitor counter.
   bool oversubscribed = false;
 
   [[nodiscard]] double contention_ratio() const {
@@ -131,7 +131,10 @@ class SpinBlockHysteresisPolicy final : public AdaptationPolicy {
       return AdaptAction{SetWaitingPolicy{
           LockAttributes::combined(params_.residual_spins, kForever)}};
     }
-    if (blocking_ && d.mean_hold_ns < params_.spin_below_ns) {
+    // A zero mean means no hold was timed in the interval (real platforms
+    // time a 1-in-N sample) - not evidence of short holds; hold position.
+    if (blocking_ && d.mean_hold_ns > 0.0 &&
+        d.mean_hold_ns < params_.spin_below_ns) {
       blocking_ = false;
       return AdaptAction{SetWaitingPolicy{LockAttributes::spin()}};
     }
@@ -143,41 +146,6 @@ class SpinBlockHysteresisPolicy final : public AdaptationPolicy {
  private:
   Params params_;
   bool blocking_ = false;
-};
-
-/// Contention-driven scheduler policy: under heavy contention a queueing
-/// scheduler (FCFS handoff) avoids the hot-spot traffic of barging; under
-/// light contention the centralized lock's cheaper release path wins.
-class ContentionSchedulerPolicy final : public AdaptationPolicy {
- public:
-  struct Params {
-    double queue_above = 0.5;   ///< contention ratio to adopt FCFS
-    double barge_below = 0.1;   ///< contention ratio to drop back to kNone
-    std::uint64_t min_samples = 8;
-  };
-
-  ContentionSchedulerPolicy() : ContentionSchedulerPolicy(Params{}) {}
-  explicit ContentionSchedulerPolicy(Params p) : params_(p) {}
-
-  std::optional<AdaptAction> evaluate(const StatsDelta& d) override {
-    if (d.acquisitions < params_.min_samples) return std::nullopt;
-    const double ratio = d.contention_ratio();
-    if (!queued_ && ratio > params_.queue_above) {
-      queued_ = true;
-      return AdaptAction{SetScheduler{SchedulerKind::kFcfs}};
-    }
-    if (queued_ && ratio < params_.barge_below) {
-      queued_ = false;
-      return AdaptAction{SetScheduler{SchedulerKind::kNone}};
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] bool queued() const noexcept { return queued_; }
-
- private:
-  Params params_;
-  bool queued_ = false;
 };
 
 /// Mutable-Locks-style waiting cost model (PAPERS.md, arXiv 1906.00490):
@@ -358,44 +326,6 @@ class PolicyStack final : public AdaptationPolicy {
 
  private:
   std::vector<std::unique_ptr<AdaptationPolicy>> policies_;
-};
-
-/// Phase detector: flags intervals whose mean hold time departs from the
-/// running EWMA by more than a factor, signalling a workload phase change
-/// that warrants re-evaluation by a surrounding policy.
-class PhaseDetector {
- public:
-  struct Params {
-    double alpha = 0.25;   ///< EWMA smoothing
-    double factor = 3.0;   ///< departure factor that defines a new phase
-  };
-
-  PhaseDetector() : PhaseDetector(Params{}) {}
-  explicit PhaseDetector(Params p) : params_(p) {}
-
-  /// Returns true when the sample signals a phase change.
-  bool observe(double mean_hold_ns) {
-    if (mean_hold_ns <= 0.0) return false;
-    if (ewma_ <= 0.0) {
-      ewma_ = mean_hold_ns;
-      return false;
-    }
-    const bool changed = mean_hold_ns > ewma_ * params_.factor ||
-                         mean_hold_ns * params_.factor < ewma_;
-    ewma_ = params_.alpha * mean_hold_ns + (1.0 - params_.alpha) * ewma_;
-    if (changed) ++phases_;
-    return changed;
-  }
-
-  [[nodiscard]] double ewma() const noexcept { return ewma_; }
-  [[nodiscard]] std::uint64_t phases_detected() const noexcept {
-    return phases_;
-  }
-
- private:
-  Params params_;
-  double ewma_ = 0.0;
-  std::uint64_t phases_ = 0;
 };
 
 }  // namespace relock::adapt

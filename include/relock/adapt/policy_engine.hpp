@@ -35,6 +35,11 @@
 // reclaimed only inside tick(), so an unregister racing a tick never frees
 // policy state mid-evaluation. The production shape is one GovernorThread
 // per domain; tests and the relock-check scenarios drive tick() directly.
+//
+// The engine is also the single-lock agent of section 3.1
+// ("possess(a-attribute); configure(a-attribute, new-config)"): a caller
+// adapting one lock builds it with `capacity = 1` and `cooldown_ticks = 0`,
+// registers the lock under its policy, and calls tick() on its own schedule.
 #pragma once
 
 #include <atomic>
@@ -45,11 +50,52 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <variant>
 
-#include "relock/adapt/adaptor.hpp"
+#include "relock/adapt/policies.hpp"
 #include "relock/core/configurable_lock.hpp"
 
 namespace relock::adapt {
+
+namespace detail {
+/// Visitor built from one lambda per AdaptAction alternative; std::visit
+/// over it fails to compile when an alternative has no lambda.
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+}  // namespace detail
+
+/// True when applying `action` would leave `lock` in the configuration it
+/// already targets: identical waiting attributes, the kind arrivals already
+/// register under, or the installed threshold. Suppressing these skips the
+/// whole possess/configure round-trip - and, on real platforms, the
+/// quiescence break a possession inflicts on every concurrent releaser.
+template <Platform P>
+[[nodiscard]] bool action_is_noop(const ConfigurableLock<P>& lock,
+                                  const AdaptAction& action) {
+  return std::visit(
+      detail::Overloaded{
+          [&](const SetWaitingPolicy& w) {
+            return lock.attributes() == w.attributes;
+          },
+          [&](const SetScheduler& s) {
+            return lock.target_scheduler_kind() == s.kind;
+          },
+          [&](const SetThreshold& t) {
+            return lock.priority_threshold() == t.threshold;
+          }},
+      action);
+}
+
+/// Fills the platform-census field of a delta (a no-op on platforms
+/// without an oversubscription census, e.g. the simulator).
+template <Platform P>
+void fill_census(typename P::Context& ctx, StatsDelta& d) {
+  if constexpr (requires { P::oversubscribed(ctx); }) {
+    d.oversubscribed = P::oversubscribed(ctx);
+  }
+}
 
 template <Platform P>
 class PolicyEngine {
@@ -189,58 +235,37 @@ class PolicyEngine {
       }
       if (st != kLive) continue;
       Lock& lk = *s.lock;
-      if (s.deferred.has_value()) {
-        // A dampened action from an earlier tick: retry before consuming
-        // another interval, so the emitting policy's state converges with
-        // the lock. The monitoring window keeps accumulating meanwhile.
-        if (action_is_noop(lk, *s.deferred)) {
-          s.deferred.reset();  // reached the target some other way
-          ++counters_.suppressed_noop;
-        } else if (now < s.cooldown_until) {
-          ++counters_.suppressed_cooldown;
-        } else if (budget == 0) {
-          ++counters_.rate_limited;
-        } else if (apply(ctx, lk, *s.deferred)) {
-          s.deferred.reset();
-          --budget;
-          ++applied;
-          ++counters_.applied;
-          s.cooldown_until = now + opts_.cooldown_ticks;
-        } else {
-          ++counters_.possession_busy;
-        }
-        continue;
+      if (!s.deferred.has_value()) {
+        // A deferred action from an earlier tick is retried before another
+        // interval is consumed, so the emitting policy's state converges
+        // with the lock; the monitoring window keeps accumulating meanwhile.
+        lk.monitor().snapshot_into(s.scratch);
+        StatsDelta d = delta_between(s.last, s.scratch);
+        fill_census<P>(ctx, d);
+        s.last = s.scratch;
+        ++counters_.evaluated;
+        s.deferred = s.policy->evaluate(d);
+        if (!s.deferred.has_value()) continue;
       }
-      lk.monitor().snapshot_into(s.scratch);
-      StatsDelta d = delta_between(s.last, s.scratch);
-      fill_census<P>(ctx, d);
-      s.last = s.scratch;
-      ++counters_.evaluated;
-      std::optional<AdaptAction> action = s.policy->evaluate(d);
-      if (!action.has_value()) continue;
-      if (action_is_noop(lk, *action)) {
+      // One damper chain for fresh and deferred actions. A no-op is
+      // dropped (a deferred one reached its target some other way); every
+      // other damper leaves the action deferred.
+      if (action_is_noop(lk, *s.deferred)) {
+        s.deferred.reset();
         ++counters_.suppressed_noop;
-        continue;
-      }
-      if (now < s.cooldown_until) {
-        s.deferred = std::move(action);
+      } else if (now < s.cooldown_until) {
         ++counters_.suppressed_cooldown;
-        continue;
-      }
-      if (budget == 0) {
-        s.deferred = std::move(action);
+      } else if (budget == 0) {
         ++counters_.rate_limited;
-        continue;
-      }
-      if (!apply(ctx, lk, *action)) {
-        s.deferred = std::move(action);
+      } else if (!apply(ctx, lk, *s.deferred)) {
         ++counters_.possession_busy;
-        continue;
+      } else {
+        s.deferred.reset();
+        --budget;
+        ++applied;
+        ++counters_.applied;
+        s.cooldown_until = now + opts_.cooldown_ticks;
       }
-      --budget;
-      ++applied;
-      ++counters_.applied;
-      s.cooldown_until = now + opts_.cooldown_ticks;
     }
     return applied;
   }
@@ -274,24 +299,28 @@ class PolicyEngine {
   /// Applies one action under fast-fail possession: false = another agent
   /// owns the attribute class right now, the caller defers.
   bool apply(Ctx& ctx, Lock& lk, const AdaptAction& action) {
-    if (const auto* w = std::get_if<SetWaitingPolicy>(&action)) {
-      if (!lk.try_possess(ctx, AttributeClass::kWaitingPolicy)) return false;
-      lk.configure_waiting(ctx, w->attributes);
-      lk.release_possession(ctx, AttributeClass::kWaitingPolicy);
+    const auto under = [&](AttributeClass cls, const auto& configure) {
+      if (!lk.try_possess(ctx, cls)) return false;
+      configure();
+      lk.release_possession(ctx, cls);
       return true;
-    }
-    if (const auto* s = std::get_if<SetScheduler>(&action)) {
-      if (!lk.try_possess(ctx, AttributeClass::kScheduler)) return false;
-      lk.configure_scheduler(ctx, s->kind);
-      lk.release_possession(ctx, AttributeClass::kScheduler);
-      return true;
-    }
-    const auto* t = std::get_if<SetThreshold>(&action);
-    if (t == nullptr) return true;  // exhaustive today; future-proof
-    if (!lk.try_possess(ctx, AttributeClass::kScheduler)) return false;
-    lk.set_priority_threshold(ctx, t->threshold);
-    lk.release_possession(ctx, AttributeClass::kScheduler);
-    return true;
+    };
+    return std::visit(
+        detail::Overloaded{
+            [&](const SetWaitingPolicy& w) {
+              return under(AttributeClass::kWaitingPolicy,
+                           [&] { lk.configure_waiting(ctx, w.attributes); });
+            },
+            [&](const SetScheduler& s) {
+              return under(AttributeClass::kScheduler,
+                           [&] { lk.configure_scheduler(ctx, s.kind); });
+            },
+            [&](const SetThreshold& t) {
+              return under(AttributeClass::kScheduler, [&] {
+                lk.set_priority_threshold(ctx, t.threshold);
+              });
+            }},
+        action);
   }
 
   Options opts_;

@@ -10,10 +10,9 @@
 //   relock/table/lock_table.hpp      - striped record-id -> lock table
 //   relock/vthreads/runtime.hpp      - user-level M:N threads
 //   relock/workload/*.hpp            - workload generators
-//   relock/adapt/*.hpp               - adaptation policies
+//   relock/adapt/*.hpp               - adaptation policies + engine
 #pragma once
 
-#include "relock/adapt/adaptor.hpp"
 #include "relock/adapt/policies.hpp"
 #include "relock/adapt/policy_engine.hpp"
 #include "relock/core/attributes.hpp"
