@@ -8,12 +8,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "relock/platform/cacheline.hpp"
 #include "relock/table/lock_table.hpp"
 
 namespace relock::table {
@@ -34,8 +36,8 @@ enum class DeadlockPolicy : std::uint8_t {
   kNoWait,
   /// Wait-die (Rosenkrantz et al.): an older transaction (smaller
   /// timestamp) may wait for a younger one; a younger transaction
-  /// requesting a lock a known-older transaction holds dies at once.
-  /// Needs a WaitDieStamps board to learn holder ages.
+  /// requesting a lock an older transaction holds or waits for dies at
+  /// once. Needs a WaitDieStamps board to learn holder ages.
   kWaitDie,
   /// Bounded waiting: lock_for(wait_timeout); expiry aborts. Resolves
   /// cycles probabilistically without any holder bookkeeping.
@@ -52,44 +54,101 @@ enum class DeadlockPolicy : std::uint8_t {
   return "?";
 }
 
-/// Advisory who-holds-what board for wait-die: write holders publish their
-/// timestamp per key so a requester can compare ages. Keys hash into a
-/// fixed stamp array; a collision can only make the policy conservative
-/// (a requester may die against the wrong key's holder), never unsafe -
-/// the table still serializes everything. Stamp 0 = no known holder.
+/// Advisory who-wants-what board for wait-die. Every TxnLockSet that uses
+/// the board joins it as one of at most kMaxMembers members; a member
+/// publishes its current timestamp in its own cache line and sets its bit
+/// in a key's slot BEFORE it tries the key - reads and writes alike - and
+/// clears it when it gives the key up. A slot is therefore the exact set
+/// of members holding or waiting for the keys that hash to it: a collision
+/// can only add members (an extra death), never hide one. The board stays
+/// advisory - the table still serializes everything.
 class WaitDieStamps {
  public:
+  static constexpr unsigned kMaxMembers = 64;
+
   explicit WaitDieStamps(std::size_t size = 4096)
       : mask_(std::bit_ceil(std::max<std::size_t>(size, 2)) - 1),
-        stamps_(mask_ + 1) {}
+        slots_(mask_ + 1) {}
 
-  void publish(std::uint64_t key, std::uint64_t ts) noexcept {
-    stamps_[slot(key)].store(ts, std::memory_order_release);
+  /// Claims a free member index; throws LockUsageError when all
+  /// kMaxMembers are taken.
+  [[nodiscard]] unsigned join() {
+    std::uint64_t taken = members_.load(std::memory_order_relaxed);
+    for (;;) {
+      if (taken == ~std::uint64_t{0}) {
+        throw LockUsageError("WaitDieStamps: more than 64 members");
+      }
+      const unsigned m = static_cast<unsigned>(std::countr_one(taken));
+      if (members_.compare_exchange_weak(taken, taken | bit(m),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_relaxed)) {
+        return m;
+      }
+    }
   }
-  void retract(std::uint64_t key, std::uint64_t ts) noexcept {
-    std::uint64_t expect = ts;  // only clear our own publication
-    stamps_[slot(key)].compare_exchange_strong(expect, 0,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed);
+  void leave(unsigned member) noexcept {
+    stamps_[member]->store(0, std::memory_order_relaxed);
+    members_.fetch_and(~bit(member), std::memory_order_release);
   }
+
+  /// The member's current timestamp; 0 = none (its bits are ignored).
+  void set_timestamp(unsigned member, std::uint64_t ts) noexcept {
+    stamps_[member]->store(ts, std::memory_order_release);
+  }
+  /// Marks `member` interested in `key`; returns false when its bit in
+  /// the slot was already set (another of its keys shares the slot).
+  /// Slot accesses are seq_cst: of two members that each announce and
+  /// then read the slot, at least one sees the other.
+  bool announce(std::uint64_t key, unsigned member) noexcept {
+    return (slots_[slot(key)].fetch_or(bit(member)) & bit(member)) == 0;
+  }
+  void retract(std::uint64_t key, unsigned member) noexcept {
+    slots_[slot(key)].fetch_and(~bit(member));
+  }
+
+  /// Oldest timestamp among the members holding or waiting for `key`
+  /// (or a key sharing its slot); 0 = no one.
   [[nodiscard]] std::uint64_t holder(std::uint64_t key) const noexcept {
-    return stamps_[slot(key)].load(std::memory_order_acquire);
+    return oldest(slots_[slot(key)].load());
+  }
+  /// As holder(), leaving `member` itself out.
+  [[nodiscard]] std::uint64_t oldest_rival(std::uint64_t key,
+                                           unsigned member) const noexcept {
+    return oldest(slots_[slot(key)].load() & ~bit(member));
   }
 
  private:
+  [[nodiscard]] static constexpr std::uint64_t bit(unsigned m) noexcept {
+    return std::uint64_t{1} << m;
+  }
   [[nodiscard]] std::size_t slot(std::uint64_t key) const noexcept {
     key *= 0x9e3779b97f4a7c15ull;
     return static_cast<std::size_t>(key >> 32) & mask_;
   }
+  [[nodiscard]] std::uint64_t oldest(std::uint64_t set) const noexcept {
+    std::uint64_t best = 0;
+    for (; set != 0; set &= set - 1) {
+      const std::uint64_t ts =
+          stamps_[static_cast<unsigned>(std::countr_zero(set))]->load(
+              std::memory_order_acquire);
+      if (ts != 0 && (best == 0 || ts < best)) best = ts;
+    }
+    return best;
+  }
+
   std::size_t mask_;
-  std::vector<std::atomic<std::uint64_t>> stamps_;
+  std::vector<std::atomic<std::uint64_t>> slots_;
+  std::atomic<std::uint64_t> members_{0};
+  /// Padded: every begin() writes one, every contended acquire reads them.
+  std::array<CachePadded<std::atomic<std::uint64_t>>, kMaxMembers> stamps_;
 };
 
 /// One transaction's lock set under strict 2PL. Reusable: begin() opens a
 /// new growing phase, release_all() shrinks and closes it. acquire()
 /// returning false means the POLICY chose this transaction as a victim -
 /// the caller must release_all() and (typically) retry with the same
-/// timestamp after a backoff.
+/// timestamp after a backoff. A lock set with a board is a member of it
+/// for its whole life, so it can be neither copied nor moved.
 template <Platform P>
 class TxnLockSet {
  public:
@@ -109,18 +168,31 @@ class TxnLockSet {
     if (cfg_.policy == DeadlockPolicy::kWaitDie && cfg_.stamps == nullptr) {
       throw LockUsageError("TxnLockSet: kWaitDie needs a WaitDieStamps");
     }
+    if (cfg_.stamps != nullptr) member_ = cfg_.stamps->join();
     held_.reserve(16);
+  }
+  TxnLockSet(const TxnLockSet&) = delete;
+  TxnLockSet& operator=(const TxnLockSet&) = delete;
+  ~TxnLockSet() {
+    if (cfg_.stamps == nullptr) return;
+    for (const Held& h : held_) cfg_.stamps->retract(h.key, member_);
+    cfg_.stamps->leave(member_);
   }
 
   /// Opens the growing phase. `ts` orders transactions for wait-die
   /// (smaller = older); a retrying victim keeps its original ts so it
-  /// ages into a survivor.
+  /// ages into a survivor. Wait-die needs ts > 0: 0 is the board's "no
+  /// one", so a ts-0 transaction would be invisible and could never die.
   void begin(std::uint64_t ts) {
     if (!held_.empty()) {
       throw LockUsageError("TxnLockSet: begin with locks still held");
     }
+    if (ts == 0 && cfg_.policy == DeadlockPolicy::kWaitDie) {
+      throw LockUsageError("TxnLockSet: kWaitDie needs a timestamp > 0");
+    }
     ts_ = ts;
     shrinking_ = false;
+    if (cfg_.stamps != nullptr) cfg_.stamps->set_timestamp(member_, ts);
   }
 
   /// Acquires `key` for `mode`. Idempotent for a mode already covered
@@ -151,11 +223,16 @@ class TxnLockSet {
       throw LockUsageError(
           "TxnLockSet: kOrdered requires ascending key order");
     }
-    if (!acquire_with_policy(ctx, key, mode)) return false;
-    held_.push_back({key, mode});
-    if (mode == AccessMode::kWrite && cfg_.stamps != nullptr) {
-      cfg_.stamps->publish(key, ts_);
+    // Announce interest before acquiring, so an older requester that
+    // arrives while this one waits sees it too. The bit is cleared on
+    // death unless another held key already set it.
+    const bool announced =
+        cfg_.stamps != nullptr && cfg_.stamps->announce(key, member_);
+    if (!acquire_with_policy(ctx, key, mode)) {
+      if (announced) cfg_.stamps->retract(key, member_);
+      return false;
     }
+    held_.push_back({key, mode});
     return true;
   }
 
@@ -164,9 +241,7 @@ class TxnLockSet {
   void release_all(Ctx& ctx) {
     shrinking_ = true;
     for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-      if (it->mode == AccessMode::kWrite && cfg_.stamps != nullptr) {
-        cfg_.stamps->retract(it->key, ts_);
-      }
+      if (cfg_.stamps != nullptr) cfg_.stamps->retract(it->key, member_);
       if (it->mode == AccessMode::kRead) {
         table_.unlock_shared(ctx, it->key);
       } else {
@@ -199,24 +274,24 @@ class TxnLockSet {
         return shared ? table_.lock_shared_for(ctx, key, cfg_.wait_timeout)
                       : table_.lock_for(ctx, key, cfg_.wait_timeout);
       case DeadlockPolicy::kWaitDie: {
-        // The stamp board is approximate (hashed slots, last publisher
-        // wins, only reads go unpublished): a real holder can be invisible
-        // behind a 0 or a stale older stamp, so unbounded waiting on
-        // "holder unknown" can cycle two older-looking transactions into a
-        // livelock. Waiting is therefore bounded: after kWaitSlices timed
-        // slices without the lock, the waiter dies conservatively - the
-        // caller retries with its ORIGINAL timestamp, so seniority (and
-        // wait-die's starvation freedom) is preserved across the abort.
+        // The board lists every holder and waiter, so waiting only ever
+        // points from older to younger and no cycle can form. The slice
+        // bound is a safety net for what the board cannot see - a holder
+        // that is not a member (a raw table user, a lock set on another
+        // board) - and for a bit read in a race: after kWaitSlices timed
+        // slices without the lock the waiter dies. The caller retries with
+        // its ORIGINAL timestamp, so seniority (and wait-die's starvation
+        // freedom) is preserved across the abort.
         constexpr int kWaitSlices = 16;
         for (int slice = 0; slice < kWaitSlices; ++slice) {
           const bool got = shared ? table_.try_lock_shared(ctx, key)
                                   : table_.try_lock(ctx, key);
           if (got) return true;
-          const std::uint64_t holder = cfg_.stamps->holder(key);
-          if (holder != 0 && holder < ts_) return false;  // younger: die
-          // Older than any known holder (or holder unknown): wait a
-          // bounded slice, then re-evaluate - the holder board may have
-          // learned a younger holder we must not keep waiting on.
+          const std::uint64_t rival = cfg_.stamps->oldest_rival(key, member_);
+          if (rival != 0 && rival < ts_) return false;  // younger: die
+          // Older than every other holder and waiter: wait a bounded
+          // slice, then re-evaluate - an older member may have announced
+          // meanwhile.
           if (shared ? table_.lock_shared_for(ctx, key, cfg_.wait_timeout)
                      : table_.lock_for(ctx, key, cfg_.wait_timeout)) {
             return true;
@@ -231,6 +306,7 @@ class TxnLockSet {
   Table& table_;
   Config cfg_;
   std::vector<Held> held_;
+  unsigned member_ = 0;  ///< index on cfg_.stamps, when there is one
   std::uint64_t ts_ = 0;
   bool shrinking_ = false;
 };

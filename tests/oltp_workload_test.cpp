@@ -2,12 +2,16 @@
 // discipline (ordering, upgrade rules, phase rules), wait-die / no-wait
 // resolution of induced cycles (two transactions taking the same two keys
 // in reversed order must never deadlock - the victim observes an abort,
-// the survivor commits), and Zipfian generator distribution sanity.
+// the survivor commits), barrier-pinned wait-die decisions against readers
+// and waiters, board membership, and Zipfian generator distribution sanity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "relock/platform/native.hpp"
@@ -196,6 +200,173 @@ TEST(TwoPhaseLocking, WaitDieResolvesReversedOrderCycle) {
     EXPECT_TRUE(t.try_lock(ctx, k));
     t.unlock(ctx, k);
   }
+}
+
+TEST(TwoPhaseLocking, WaitDieRejectsTimestampZero) {
+  native::Domain dom(16);
+  Table t(dom, table_options());
+  native::Context ctx(dom);
+  WaitDieStamps stamps(64);
+  Txn wd(t, {.policy = DeadlockPolicy::kWaitDie, .stamps = &stamps});
+  // 0 is the board's "no one": a ts-0 transaction could never be seen.
+  EXPECT_THROW(wd.begin(0), LockUsageError);
+  wd.begin(1);
+  EXPECT_TRUE(wd.acquire(ctx, 1, AccessMode::kWrite));
+  wd.release_all(ctx);
+  // The other policies never read the timestamp, so 0 stays legal there.
+  for (const DeadlockPolicy p : {DeadlockPolicy::kOrdered,
+                                 DeadlockPolicy::kNoWait,
+                                 DeadlockPolicy::kTimeout}) {
+    Txn txn(t, {.policy = p});
+    EXPECT_NO_THROW(txn.begin(0)) << to_string(p);
+    EXPECT_TRUE(txn.acquire(ctx, 1, AccessMode::kWrite)) << to_string(p);
+    txn.release_all(ctx);
+  }
+}
+
+// Wait-die decisions with every interleaving pinned by latches. Each victim
+// must die in well under one slice: a victim that cannot see the older
+// reader or waiter in its way sits out all 16 slices (3.2 s) instead.
+constexpr Nanos kSlice = 200'000'000;  // 200 ms
+
+Txn::Config wait_die(WaitDieStamps& stamps) {
+  return {.policy = DeadlockPolicy::kWaitDie,
+          .wait_timeout = kSlice,
+          .stamps = &stamps};
+}
+
+/// acquire()'s result and how long it took.
+std::pair<bool, Nanos> timed_acquire(Txn& txn, native::Context& ctx,
+                                     Table::Key key, AccessMode mode) {
+  const Nanos t0 = monotonic_now();
+  const bool got = txn.acquire(ctx, key, mode);
+  return {got, monotonic_now() - t0};
+}
+
+// (a) An older transaction holds K shared; a younger writer dies at once.
+TEST(WaitDie, YoungerWriterDiesAtOnceAgainstOlderReader) {
+  native::Domain dom(16);
+  Table t(dom, table_options(/*rw=*/true));
+  WaitDieStamps stamps(64);
+  const Table::Key K = 7;
+  std::latch held(1), done(1);
+
+  std::thread reader([&] {
+    native::Context ctx(dom);
+    Txn txn(t, wait_die(stamps));
+    txn.begin(1);
+    EXPECT_TRUE(txn.acquire(ctx, K, AccessMode::kRead));
+    held.count_down();
+    done.wait();
+    txn.release_all(ctx);
+  });
+  held.wait();
+  native::Context ctx(dom);
+  Txn writer(t, wait_die(stamps));
+  writer.begin(2);
+  const auto [got, took] = timed_acquire(writer, ctx, K, AccessMode::kWrite);
+  writer.release_all(ctx);
+  done.count_down();
+  reader.join();
+  EXPECT_FALSE(got) << "the younger writer must die";
+  EXPECT_LT(took, kSlice / 2);
+}
+
+// (b) T1 and T2 read K, T1 releases, then T3 requests K for write: T3 dies
+// at once because T2 still holds K. A board that keeps only the oldest
+// reader's stamp goes blank when T1 leaves and misses T2.
+TEST(WaitDie, WriterDiesAgainstRemainingOlderReader) {
+  native::Domain dom(16);
+  Table t(dom, table_options(/*rw=*/true));
+  WaitDieStamps stamps(64);
+  const Table::Key K = 7;
+  native::Context ctx(dom);
+  Txn t1(t, wait_die(stamps));
+  t1.begin(1);
+  ASSERT_TRUE(t1.acquire(ctx, K, AccessMode::kRead));
+  std::latch held(1), done(1);
+
+  std::thread second([&] {
+    native::Context ctx2(dom);
+    Txn t2(t, wait_die(stamps));
+    t2.begin(2);
+    EXPECT_TRUE(t2.acquire(ctx2, K, AccessMode::kRead));
+    held.count_down();
+    done.wait();
+    t2.release_all(ctx2);
+  });
+  held.wait();
+  t1.release_all(ctx);
+  Txn t3(t, wait_die(stamps));
+  t3.begin(3);
+  const auto [got, took] = timed_acquire(t3, ctx, K, AccessMode::kWrite);
+  t3.release_all(ctx);
+  done.count_down();
+  second.join();
+  EXPECT_FALSE(got) << "T3 must die against T2's read";
+  EXPECT_LT(took, kSlice / 2);
+}
+
+// (c) T1, the oldest, waits for K, which young T3 holds. T2 then requests
+// K and dies at once: T1 announced its interest before it started waiting.
+TEST(WaitDie, RequesterDiesAgainstOlderWaiter) {
+  native::Domain dom(16);
+  Table t(dom, table_options(/*rw=*/true));
+  WaitDieStamps stamps(64);
+  const Table::Key K = 7;
+  std::latch held(1), done(1);
+
+  std::thread holder([&] {
+    native::Context ctx(dom);
+    Txn t3(t, wait_die(stamps));
+    t3.begin(3);
+    EXPECT_TRUE(t3.acquire(ctx, K, AccessMode::kWrite));
+    held.count_down();
+    done.wait();
+    t3.release_all(ctx);
+  });
+  held.wait();
+  std::thread waiter([&] {
+    native::Context ctx(dom);
+    Txn t1(t, wait_die(stamps));
+    t1.begin(1);
+    // The oldest transaction waits until T3 commits; it never dies.
+    EXPECT_TRUE(t1.acquire(ctx, K, AccessMode::kWrite));
+    t1.release_all(ctx);
+  });
+  // T1 is on the board once the oldest interest in K is its stamp.
+  const Nanos give_up = monotonic_now() + 5'000'000'000;
+  while (stamps.holder(K) != 1 && monotonic_now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(stamps.holder(K), 1u) << "T1 never announced its wait";
+  native::Context ctx(dom);
+  Txn t2(t, wait_die(stamps));
+  t2.begin(2);
+  const auto [got, took] = timed_acquire(t2, ctx, K, AccessMode::kWrite);
+  t2.release_all(ctx);
+  done.count_down();
+  holder.join();
+  waiter.join();
+  EXPECT_FALSE(got) << "T2 must die against the older waiter T1";
+  EXPECT_LT(took, kSlice / 2);
+  EXPECT_EQ(stamps.holder(K), 0u);
+}
+
+// (d) The board holds 64 members; the 65th lock set throws, and a slot
+// freed by a destroyed lock set can be joined again.
+TEST(WaitDie, BoardAdmitsSixtyFourMembers) {
+  native::Domain dom(16);
+  Table t(dom, table_options());
+  WaitDieStamps stamps(64);
+  std::vector<std::unique_ptr<Txn>> sets;
+  for (unsigned i = 0; i < WaitDieStamps::kMaxMembers; ++i) {
+    sets.push_back(std::make_unique<Txn>(t, wait_die(stamps)));
+  }
+  EXPECT_THROW(Txn(t, wait_die(stamps)), LockUsageError);
+  sets.erase(sets.begin() + 17);
+  EXPECT_NO_THROW(sets.push_back(std::make_unique<Txn>(t, wait_die(stamps))));
+  EXPECT_THROW(Txn(t, wait_die(stamps)), LockUsageError);
 }
 
 // Same reversed-order cycle under no-wait: nobody ever blocks, so the
