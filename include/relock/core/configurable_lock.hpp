@@ -416,15 +416,7 @@ class ConfigurableLock {
   void configure_scheduler(Ctx& ctx, std::unique_ptr<Scheduler<P>> custom) {
     if (custom == nullptr) misuse("configure_scheduler with a null scheduler");
     const SchedulerKind kind = custom->kind();
-    if (kind == SchedulerKind::kQueue) {
-      // A user-built distributed-queue module carries its own cell, but
-      // lock-free arrivals tail-swap into the lock-resident one. The
-      // module is stateless apart from the cell, so install a lock-bound
-      // façade instead; the caller's instance is simply discarded.
-      install_scheduler(ctx, kind, make_module(kind));
-      return;
-    }
-    install_scheduler(ctx, kind, std::move(custom));
+    install_scheduler(ctx, kind, make_module(kind, std::move(custom)));
   }
 
   /// Priority-threshold scheduler parameter. If the lock is currently free,
@@ -818,7 +810,7 @@ class ConfigurableLock {
           return valid;
         }
       }
-      if (ctx != nullptr) spin_step(*ctx, streak);  // a write is in flight
+      if (ctx != nullptr) spin_step<P>(*ctx, streak);  // a write is in flight
     }
   }
 
@@ -836,7 +828,7 @@ class ConfigurableLock {
                               v, v + 1, std::memory_order_acquire,
                               std::memory_order_relaxed);
          v = s.seq.load(std::memory_order_relaxed)) {
-      if (ctx != nullptr) spin_step(*ctx, streak);
+      if (ctx != nullptr) spin_step<P>(*ctx, streak);
     }
     s.spin.store(a.spin_count, std::memory_order_release);
     s.delay.store(a.delay_ns, std::memory_order_release);
@@ -1092,35 +1084,23 @@ class ConfigurableLock {
   void publish(Ctx& ctx, WaiterRecord<P>& rec, Publish via) {
     if (via == Publish::kMeta) {
       // Meta held since route(): register with the module directly.
-      Scheduler<P>* const target = arrival_target();
-      rec.registered_with = target;
-      target->enqueue(rec);
+      adopt(ctx, rec, arrival_target());
       note(ctx, LockEvent::kRegistered, rec.tid);
       waiter_count_.fetch_add(1, std::memory_order_relaxed);
       meta_unlock(ctx);
       return;
     }
     if (via == Publish::kCell) {
-      // MCS enqueue: swap ourselves in as the tail, then publish the link -
-      // through the predecessor's inline node, or through the cell's
-      // first-arrival slot when the queue was empty. A consumer that sees
-      // the tail but not yet the link waits out this two-store gap. No
-      // drain into a module queue ever happens, and wait_queued polls the
-      // record-local grant flag: the waiting is "distributed" in the
-      // paper's Fig. 9 sense whatever Phi is.
-      rec.qnext.store(nullptr, std::memory_order_relaxed);
+      // MCS enqueue (WaitQueueCell::push): no drain into a module queue
+      // ever happens, and wait_queued polls the record-local grant flag -
+      // the waiting is "distributed" in the paper's Fig. 9 sense whatever
+      // Phi is. The push's tail exchange fixes the registration order and
+      // follows this point with no scheduling point in between, so the
+      // event reports it in the same checker step, before the link window
+      // opens.
       chk_point<P>(ctx, "qa.swap");
-      WaiterRecord<P>* const qprev =
-          queue_cell_.tail.exchange(&rec, std::memory_order_seq_cst);
       note(ctx, LockEvent::kRegistered, rec.tid);
-      if (qprev != nullptr) {
-        chk_point<P>(ctx, "qa.link");
-        qprev->qnext.store(&rec, std::memory_order_release);
-      } else {
-        chk_point<P>(ctx, "qa.first");
-        queue_cell_.first.store(&rec, std::memory_order_release);
-      }
-      queue_cell_.count.fetch_add(1, std::memory_order_relaxed);
+      queue_cell_.push(&ctx, rec);
     } else if constexpr (kRealConcurrency<P>) {
       // Arrival-stack push: mark the link in flight, swing the head, then
       // publish the old head as our link. A drain observing
@@ -1235,221 +1215,75 @@ class ConfigurableLock {
       auto* next = reinterpret_cast<WaiterRecord<P>*>(
           w->arrival_next.load(std::memory_order_relaxed));
       w->arrival_next.store(0, std::memory_order_relaxed);
-      adopt(*w, target);
+      adopt(ctx, *w, target);
       w = next;
     }
   }
 
-  /// Meta held. Registers a drained or migrated record with `target`, or
-  /// parks it on the orphan queue when there is no module (kNone).
-  void adopt(WaiterRecord<P>& w, Scheduler<P>* target) {
+  /// Meta held, or the release module's owner re-queueing its own
+  /// pre-selection. Registers a published, drained, migrated or reclaimed
+  /// record with `target` - at the tail, or at the head (`front`) for a
+  /// reclaimed pre-selection, which was the oldest candidate - or parks it
+  /// on the orphan queue when there is no module (kNone). A distributed-
+  /// queue record is linked into the lock-resident cell and registered with
+  /// no module: the cell outlives every module swap.
+  void adopt(Ctx& ctx, WaiterRecord<P>& w, Scheduler<P>* target,
+             bool front = false) {
+    if (serves_cell(target)) {
+      w.registered_with = nullptr;
+      if (front) {
+        queue_cell_.push_front(&ctx, w);
+      } else {
+        queue_cell_.push(&ctx, w);
+      }
+      return;
+    }
     w.registered_with = target;
-    if (target != nullptr) {
-      target->enqueue(w);
-    } else {
+    if (target == nullptr) {
       orphans_.push_back(w);
-    }
-  }
-
-  // ------------------- distributed queue (kQueue) consumer side ----------
-  // kRealConcurrency only. Producers are kCell publish() arrivals
-  // (lock-free tail-swap) plus meta-holders enqueuing through the façade
-  // (drains, migrations) - the latter run on the consumer's own thread and
-  // open no windows. The consumer role itself is exclusive: it belongs to
-  // the state-word owner (fast releases, grant_or_free behind a claim) or
-  // to meta-holders with no fast release in flight (configuration under a
-  // quiesced epoch, timeout resolution after wait_fast_releases), and those
-  // two regimes exclude each other exactly as module ops always have.
-  // Unlike the façade's non-waiting operations, these wait out producers'
-  // two-store publication windows with gated spins: the producer's very
-  // next platform access after linking (the arr.mark fetch_or) re-enables
-  // a gated spinner under the checker, so the waits are finite there too.
-
-  /// Adopts the current generation's published first arrival into the
-  /// consumer cursor. Caller observed tail != nullptr with head == nullptr,
-  /// so a producer is committed to publishing the slot.
-  void queue_adopt_first(Ctx& ctx) {
-    chk_point<P>(ctx, "qc.first");
-    WaiterRecord<P>* f;
-    std::uint32_t streak = 0;
-    while ((f = queue_cell_.first.load(std::memory_order_acquire)) ==
-           nullptr) {
-      spin_step(ctx, streak);
-    }
-    queue_cell_.head = f;
-    queue_cell_.first.store(nullptr, std::memory_order_relaxed);
-  }
-
-  /// Pops the queue head; returns nullptr only when the cell is empty.
-  [[nodiscard]] WaiterRecord<P>* queue_pop(Ctx& ctx) {
-    WaitQueueCell<P>& c = queue_cell_;
-    if (c.head == nullptr) {
-      if (c.tail.load(std::memory_order_seq_cst) == nullptr) return nullptr;
-      queue_adopt_first(ctx);
-    }
-    WaiterRecord<P>* const h = c.head;
-    WaiterRecord<P>* nxt = h->qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // No visible successor: h may be the last node. Swing the tail back
-      // to empty; losing the CAS means a producer swapped in behind h, so
-      // adopt its link once it lands.
-      WaiterRecord<P>* expected = h;
-      if (c.tail.compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_seq_cst)) {
-        c.head = nullptr;
-        c.count.fetch_sub(1, std::memory_order_relaxed);
-        return h;
-      }
-      chk_point<P>(ctx, "qc.chase");
-      std::uint32_t streak = 0;
-      while ((nxt = h->qnext.load(std::memory_order_acquire)) == nullptr) {
-        spin_step(ctx, streak);
-      }
-    }
-    c.head = nxt;
-    h->qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-    return h;
-  }
-
-  /// Unlinks `rec` from the cell wherever it sits - MCS-with-timeout node
-  /// self-removal, run by the timed-out thread itself under meta. Returns
-  /// false when the record is not in the cell.
-  [[nodiscard]] bool queue_remove(Ctx& ctx, WaiterRecord<P>& rec) {
-    WaitQueueCell<P>& c = queue_cell_;
-    if (c.head == nullptr) {
-      if (c.tail.load(std::memory_order_seq_cst) == nullptr) return false;
-      queue_adopt_first(ctx);
-    }
-    WaiterRecord<P>* prev = nullptr;
-    WaiterRecord<P>* cur = c.head;
-    while (cur != &rec) {
-      WaiterRecord<P>* nxt = cur->qnext.load(std::memory_order_acquire);
-      if (nxt == nullptr) {
-        if (c.tail.load(std::memory_order_seq_cst) == cur) return false;
-        // A successor (possibly rec) is mid-link behind cur: wait it out.
-        chk_point<P>(ctx, "qc.chase");
-        std::uint32_t streak = 0;
-        while ((nxt = cur->qnext.load(std::memory_order_acquire)) ==
-               nullptr) {
-          spin_step(ctx, streak);
-        }
-      }
-      prev = cur;
-      cur = nxt;
-    }
-    WaiterRecord<P>* nxt = rec.qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // No visible successor: rec may be the tail. Pre-clear the
-      // predecessor's link BEFORE swinging the tail to it - the instant
-      // the CAS lands, a new producer may store through prev->qnext, and
-      // a late clear would erase that link.
-      if (prev != nullptr) {
-        prev->qnext.store(nullptr, std::memory_order_release);
-      }
-      WaiterRecord<P>* expected = &rec;
-      if (c.tail.compare_exchange_strong(expected, prev,
-                                         std::memory_order_seq_cst)) {
-        if (prev == nullptr) c.head = nullptr;
-        rec.qnext.store(nullptr, std::memory_order_relaxed);
-        c.count.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-      // Lost to a producer that swapped in behind rec: adopt its link.
-      chk_point<P>(ctx, "qc.chase");
-      std::uint32_t streak = 0;
-      while ((nxt = rec.qnext.load(std::memory_order_acquire)) == nullptr) {
-        spin_step(ctx, streak);
-      }
-    }
-    if (prev != nullptr) {
-      prev->qnext.store(nxt, std::memory_order_release);
+    } else if (front) {
+      target->enqueue_front(w);
     } else {
-      c.head = nxt;
+      target->enqueue(w);
     }
-    rec.qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-    return true;
   }
 
-  /// Consumer-side head re-insertion (reclaim of a fast-release
-  /// pre-selection): the record was the oldest candidate and goes back in
-  /// front.
-  void queue_push_front(Ctx& ctx, WaiterRecord<P>& rec) {
-    WaitQueueCell<P>& c = queue_cell_;
-    rec.qnext.store(nullptr, std::memory_order_relaxed);
-    if (c.head == nullptr) {
-      WaiterRecord<P>* expected = nullptr;
-      if (c.tail.load(std::memory_order_seq_cst) == nullptr &&
-          c.tail.compare_exchange_strong(expected, &rec,
-                                         std::memory_order_seq_cst)) {
-        // Empty cell: rec is first and last; producers link behind it.
-        c.head = &rec;
-        c.count.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // A producer won the empty slot. rec is the reclaimed oldest waiter
-      // and still goes first: adopt the producer's publication as the
-      // queue behind rec.
-      queue_adopt_first(ctx);
-    }
-    rec.qnext.store(c.head, std::memory_order_release);
-    c.head = &rec;
-    c.count.fetch_add(1, std::memory_order_relaxed);
+  /// True for the distributed-queue module: its waiters live in queue_cell_
+  /// and the lock runs every queue operation on the cell itself, with the
+  /// caller's context (paced link-window waits, checker scheduling points).
+  [[nodiscard]] static bool serves_cell(const Scheduler<P>* m) noexcept {
+    return m != nullptr && m->kind() == SchedulerKind::kQueue;
   }
 
-  /// Meta held, kRealConcurrency only. A thread that read kQueue as its
-  /// arrival target races configure_scheduler: its tail-swap can land
-  /// after the configuration moved on, leaving records in the cell with no
-  /// distributed-queue module current or pending to serve them. Mirror of
-  /// the orphan-absorption rule for the arrival stack: migrate such strays
-  /// into the module new arrivals register under (or the orphan queue).
-  /// Must be - and is - a no-op while either module is a distributed
-  /// queue; popping then would steal linked waiters out of FIFO order.
+  /// Meta held. A thread that read kQueue as its arrival target races
+  /// configure_scheduler: its tail-swap can land after the configuration
+  /// moved on, leaving records in the cell with no distributed-queue
+  /// module current or pending to serve them (a replaced pending kQueue
+  /// module leaves its waiters there too). Mirror of the orphan-absorption
+  /// rule for the arrival stack: migrate such strays into the module new
+  /// arrivals register under (or the orphan queue). Must be - and is - a
+  /// no-op while either module serves the cell; popping then would steal
+  /// linked waiters out of FIFO order.
   void drain_queue_strays(Ctx& ctx) {
-    if constexpr (kRealConcurrency<P>) {
-      if (queue_cell_.empty() ||
-          scheduler_kind_.load(std::memory_order_relaxed) ==
-              SchedulerKind::kQueue ||
-          arrival_target_kind() == SchedulerKind::kQueue) {
-        return;
-      }
-      Scheduler<P>* const target = arrival_target();
-      while (WaiterRecord<P>* w = queue_pop(ctx)) adopt(*w, target);
-    } else {
-      (void)ctx;
+    if (queue_cell_.empty() || serves_cell(scheduler_.get()) ||
+        serves_cell(arrival_target())) {
+      return;
     }
+    Scheduler<P>* const target = arrival_target();
+    while (WaiterRecord<P>* w = queue_cell_.pop(&ctx)) adopt(ctx, *w, target);
   }
 
   /// Meta held, fast releases waited out. Removes a timed-out record from
   /// wherever it is registered: the scheduler module that actually enqueued
   /// it (which may no longer be the current one after a reconfiguration),
-  /// the distributed queue cell, or the orphan queue.
+  /// the distributed-queue cell, or the orphan queue.
   void withdraw(Ctx& ctx, WaiterRecord<P>& rec) {
     if (rec.registered_with != nullptr) {
-      if constexpr (kRealConcurrency<P>) {
-        if (rec.registered_with->kind() == SchedulerKind::kQueue) {
-          // The record is linked in the lock-resident cell. The façade's
-          // non-waiting remove cannot wait out an in-flight producer link;
-          // the lock-side remover can, and must find the record.
-          rec.registered_with = nullptr;
-          const bool unlinked = queue_remove(ctx, rec);
-          assert(unlinked);
-          (void)unlinked;
-          return;
-        }
-      }
       rec.registered_with->remove(rec);
       rec.registered_with = nullptr;
-      return;
+    } else if (!queue_cell_.remove(&ctx, rec)) {
+      orphans_.remove(rec);
     }
-    if constexpr (kRealConcurrency<P>) {
-      // kQueue self-enqueued records carry no module registration; they
-      // live in the cell. Not found there means the orphan queue.
-      if (queue_remove(ctx, rec)) return;
-    }
-    orphans_.remove(rec);
-    (void)ctx;
   }
 
   [[nodiscard]] Placement grant_flag_placement(Ctx& ctx) const {
@@ -1469,23 +1303,6 @@ class ConfigurableLock {
       (void)ctx;
       return false;
     }
-  }
-
-  /// One polite failed-probe step. On real-concurrency platforms a long
-  /// streak escalates from PAUSE to yielding the processor: with more
-  /// waiters than processors, burning the quantum on PAUSE delays the very
-  /// thread that must release or hand off the lock (the all-spin FCFS cells
-  /// of bench/native_throughput.cpp collapse by ~100x without this), and
-  /// an oversubscribed domain gives way much sooner. The simulator's pause
-  /// is a costed event and keeps the seed behaviour.
-  static void spin_step(Ctx& ctx, std::uint32_t& streak) {
-    if (kRealConcurrency<P> &&
-        ++streak >= (oversubscribed(ctx) ? kSpinsBeforeYieldOversubscribed
-                                         : kSpinsBeforeYield)) {
-      P::yield(ctx);
-      return;
-    }
-    P::pause(ctx);
   }
 
   [[nodiscard]] static bool expired(Ctx& ctx, Nanos deadline) {
@@ -1569,13 +1386,13 @@ class ConfigurableLock {
             // can starve the releaser forever), and the gated pause/yield
             // inside spin_step is what hands the schedule back. On
             // hardware it costs one PAUSE.
-            spin_step(ctx, streak);
+            spin_step<P>(ctx, streak);
             break;  // to this policy's own sleep phase
           }
           monitor_.on_block();
           if (!park(ctx, kForever, deadline)) return WaitResult::kTimedOut;
         } else {
-          spin_step(ctx, streak);
+          spin_step<P>(ctx, streak);
         }
         if (probes != kInfiniteSpins) ++i;
       }
@@ -1709,7 +1526,7 @@ class ConfigurableLock {
         if (fast_releases_inflight_.load(std::memory_order_acquire) == 0) {
           break;
         }
-        spin_step(ctx, streak);
+        spin_step<P>(ctx, streak);
       }
     } else {
       (void)ctx;
@@ -1740,21 +1557,40 @@ class ConfigurableLock {
     return false;
   }
 
+  /// The release module's one selection step, shared by the guarded
+  /// release, the fast release and its pre-selection refill. Returns the
+  /// first grantee, nullptr when nobody is eligible. With `batch` the whole
+  /// grant batch is appended to the grant scratch session the caller
+  /// opened (the guarded release); without, the caller wants only the next
+  /// grantee and the scratch is left empty. The distributed queue pops its
+  /// cell head, waiting out producer link windows so a linked waiter is
+  /// never skipped, and touches the scratch only to append: the scratch
+  /// sits on the lock's own cache lines, and writing it on every queued
+  /// handoff cost ~5 % of lock_handoff throughput. Every other kind runs
+  /// the module's select() through the scratch, in a session of its own
+  /// when the caller opened none.
+  WaiterRecord<P>* select_next(Ctx& ctx, Scheduler<P>& sched, ThreadId hint,
+                               bool batch) {
+    if (serves_cell(&sched)) {
+      WaiterRecord<P>* const w = queue_cell_.pop(&ctx);
+      if (batch && w != nullptr) grant_scratch_.push_back(w);
+      return w;
+    }
+    if (!batch) grant_scratch_.clear();
+    sched.select(grant_scratch_, hint);
+    WaiterRecord<P>* const w =
+        grant_scratch_.empty() ? nullptr : grant_scratch_.front();
+    if (!batch) grant_scratch_.clear();
+    return w;
+  }
+
   /// Pre-selects the grantee for the NEXT release while this releaser
   /// still owns the module - the MCS-style cache the next fast release
   /// publishes with a single store. Version snapshot taken after the
   /// select, so any later mutation invalidates the cache.
   void refill_next_grant(Ctx& ctx, Scheduler<P>& sched) {
-    WaiterRecord<P>* nxt;
-    if (sched.kind() == SchedulerKind::kQueue) {
-      // Distributed queue: O(1) head pop from the cell, no GrantBatch scan.
-      nxt = queue_pop(ctx);
-    } else {
-      grant_scratch_.clear();
-      sched.select(grant_scratch_, kInvalidThread);
-      nxt = grant_scratch_.empty() ? nullptr : grant_scratch_.front();
-      grant_scratch_.clear();
-    }
+    WaiterRecord<P>* const nxt =
+        select_next(ctx, sched, kInvalidThread, /*batch=*/false);
     if (nxt == nullptr) {
       next_grant_.store(nullptr, std::memory_order_relaxed);
       return;
@@ -1768,23 +1604,10 @@ class ConfigurableLock {
   /// own the release module with no fast release in flight (a guarded
   /// release path, or a quiesced configuration operation holding meta).
   void reclaim_next_grant(Ctx& ctx) {
-    if constexpr (kRealConcurrency<P>) {
-      WaiterRecord<P>* cached =
-          next_grant_.exchange(nullptr, std::memory_order_relaxed);
-      if (cached == nullptr) return;
-      if (scheduler_ != nullptr) {
-        cached->registered_with = scheduler_.get();
-        if (scheduler_->kind() == SchedulerKind::kQueue) {
-          queue_push_front(ctx, *cached);
-        } else {
-          scheduler_->enqueue_front(*cached);
-        }
-      } else {
-        cached->registered_with = nullptr;
-        orphans_.push_back(*cached);
-      }
-    } else {
-      (void)ctx;
+    WaiterRecord<P>* const cached =
+        next_grant_.exchange(nullptr, std::memory_order_relaxed);
+    if (cached != nullptr) {
+      adopt(ctx, *cached, scheduler_.get(), /*front=*/true);
     }
   }
 
@@ -1815,7 +1638,6 @@ class ConfigurableLock {
     // drops; we own the modules by holding the state word.
     note(ctx, LockEvent::kFastReleaseBegin);
     chk_point<P>(ctx, "fr.mod");
-    const SchedulerKind kind = scheduler_kind_.load(std::memory_order_relaxed);
     Scheduler<P>* const sched_ptr = scheduler_.get();
     // kNone-policy modules abort to the guarded path: kNone kind frees the
     // word (guarded path handles sleeper wakeup), RW grants batches, custom
@@ -1827,8 +1649,8 @@ class ConfigurableLock {
         has_pending_.load(std::memory_order_relaxed) || !orphans_.empty()) {
       return release_fast_abort(ctx, /*began=*/true);
     }
-    const bool queued_kind = kind == SchedulerKind::kQueue;
-    if (queued_kind) {
+    Scheduler<P>& sched = *sched_ptr;
+    if (serves_cell(&sched)) {
       // Distributed queue: the cell is the registration structure, and the
       // arrival stack is only a reconfiguration straggler channel. A
       // nonzero stack means a record was pushed against a prior
@@ -1839,7 +1661,6 @@ class ConfigurableLock {
     } else {
       drain_arrivals(ctx);
     }
-    Scheduler<P>& sched = *sched_ptr;
     chk_point<P>(ctx, "fr.cache");
     WaiterRecord<P>* succ = next_grant_.load(std::memory_order_relaxed);
     if (succ != nullptr && !next_grant_valid(*succ, policy, sched, hint)) {
@@ -1847,30 +1668,16 @@ class ConfigurableLock {
       // back at the head of its queue - it was the oldest candidate - and
       // select afresh. (Unreachable for kStableHead policies.)
       next_grant_.store(nullptr, std::memory_order_relaxed);
-      succ->registered_with = &sched;
-      sched.enqueue_front(*succ);
+      adopt(ctx, *succ, &sched, /*front=*/true);
       succ = nullptr;
     }
     if (succ == nullptr) {
       chk_point<P>(ctx, "fr.select");
-      if (queued_kind) {
-        succ = queue_pop(ctx);
-        if (succ == nullptr) {
-          // Queue gone empty: publishing the word free is the guarded
-          // path's job.
-          return release_fast_abort(ctx, /*began=*/true);
-        }
-      } else {
-        grant_scratch_.clear();
-        sched.select(grant_scratch_, hint);
-        if (grant_scratch_.empty()) {
-          // Nobody eligible: publishing the word free (and waking barging
-          // sleepers) is the guarded path's job.
-          grant_scratch_.clear();
-          return release_fast_abort(ctx, /*began=*/true);
-        }
-        succ = grant_scratch_.front();
-        grant_scratch_.clear();
+      succ = select_next(ctx, sched, hint, /*batch=*/false);
+      if (succ == nullptr) {
+        // Nobody eligible: publishing the word free (and waking barging
+        // sleepers) is the guarded path's job.
+        return release_fast_abort(ctx, /*began=*/true);
       }
       succ->registered_with = nullptr;
     } else {
@@ -1998,14 +1805,8 @@ class ConfigurableLock {
       if (WaiterRecord<P>* orphan = orphans_.front()) {
         orphans_.remove(*orphan);
         grant_scratch_.push_back(orphan);
-      } else if (kRealConcurrency<P> && scheduler_ != nullptr &&
-                 scheduler_->kind() == SchedulerKind::kQueue) {
-        // Paced pop: waits out producer link windows, so a linked waiter
-        // is never skipped (the façade's non-waiting select would report
-        // nobody and this loop would publish free).
-        if (WaiterRecord<P>* w = queue_pop(ctx)) grant_scratch_.push_back(w);
       } else if (scheduler_ != nullptr) {
-        scheduler_->select(grant_scratch_, hint);
+        (void)select_next(ctx, *scheduler_, hint, /*batch=*/true);
       }
 
       if (grant_scratch_.empty()) {
@@ -2109,15 +1910,18 @@ class ConfigurableLock {
     }
   }
 
-  /// Builds a scheduler module for `kind`. The distributed queue module is
-  /// special: it is a façade over the lock-resident queue_cell_, because
-  /// arrivals tail-swap into the cell without ever dereferencing the
-  /// module pointer (which a racing reconfiguration may be retiring).
-  [[nodiscard]] std::unique_ptr<Scheduler<P>> make_module(SchedulerKind kind) {
+  /// Builds the module to install for `kind`: `custom` when the caller
+  /// supplied one, else the factory's. A distributed-queue module is always
+  /// a façade over the lock-resident queue_cell_ - a user-built one would
+  /// carry a cell of its own - because arrivals tail-swap into the cell
+  /// without ever dereferencing the module pointer (which a racing
+  /// reconfiguration may be retiring).
+  [[nodiscard]] std::unique_ptr<Scheduler<P>> make_module(
+      SchedulerKind kind, std::unique_ptr<Scheduler<P>> custom = nullptr) {
     if (kind == SchedulerKind::kQueue) {
       return std::make_unique<DistributedQueueScheduler<P>>(&queue_cell_);
     }
-    return make_scheduler<P>(kind);
+    return custom != nullptr ? std::move(custom) : make_scheduler<P>(kind);
   }
 
   /// Common body of the configure_scheduler overloads: charges the 1R5W
@@ -2149,21 +1953,16 @@ class ConfigurableLock {
     // drain them now so they land in the outgoing module and are served
     // under the configuration-delay rule, like meta-published arrivals.
     drain_arrivals(ctx);
-    if (pending_scheduler_ != nullptr) {
+    if (pending_scheduler_ != nullptr &&
+        !serves_cell(pending_scheduler_.get())) {
       // Stacked reconfiguration: a previous pending module was never
       // installed. Migrate its registered waiters (to the incoming module,
       // or the orphan queue when switching to kNone) instead of destroying
-      // them with it. Exception: when both the replaced pending module and
-      // the incoming one are distributed queues, they drain the same
-      // lock-resident cell - the waiters are already where the incoming
-      // module serves them, and "migrating" would chase a cycle.
-      const bool both_queued =
-          pending_scheduler_->kind() == SchedulerKind::kQueue &&
-          kind == SchedulerKind::kQueue;
-      if (!both_queued) {
-        while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
-          adopt(*w, fresh.get());
-        }
+      // them with it. A replaced distributed-queue module holds none: its
+      // waiters stay in the lock-resident cell, where the stray sweep
+      // below serves them.
+      while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
+        adopt(ctx, *w, fresh.get());
       }
     }
     pending_scheduler_ = std::move(fresh);
@@ -2172,11 +1971,10 @@ class ConfigurableLock {
     }
     pending_kind_.store(kind, std::memory_order_relaxed);
     has_pending_.store(true, std::memory_order_relaxed);
-    // A replaced pending kQueue module can leave records in the cell that
-    // its pop_any could not see (a producer's link was still in flight).
-    // Now that the pending kinds are final, sweep such strays into
-    // whatever module new arrivals register under. No-op while a
-    // distributed queue is still current or incoming.
+    // Now that the pending kinds are final, sweep cell records no module
+    // serves any more (a replaced pending kQueue module's waiters, late
+    // tail-swaps) into whatever module new arrivals register under. No-op
+    // while a distributed queue is still current or incoming.
     drain_queue_strays(ctx);
     // New registrations target the incoming module from here on: a new
     // configuration generation for the fairness oracles.
@@ -2404,13 +2202,8 @@ class ConfigurableLock {
   /// How long before the owner's announced release waiters resume spinning.
   static constexpr Nanos kAdviceSpinMargin = 60'000;
 
-  // Real-concurrency tuning (used only when kRealConcurrency<P>).
-  /// Failed probes tolerated (grant-flag spins, pending-arrival-link waits)
-  /// before escalating from PAUSE to yielding the processor.
-  static constexpr std::uint32_t kSpinsBeforeYield = 64;
-  /// Same, when live threads exceed processors (spinning mostly steals the
-  /// quantum the releaser needs).
-  static constexpr std::uint32_t kSpinsBeforeYieldOversubscribed = 4;
+  // Real-concurrency tuning (used only when kRealConcurrency<P>; the PAUSE
+  // to yield escalation of spin_step lives in platform/backoff.hpp).
   /// Failed probes an oversubscribed spin-policy waiter tolerates before it
   /// parks outright (it registered sleepable, so its grant signals the
   /// parker). Zero: park on the first failed probe. Handoffs faster than the

@@ -3,8 +3,13 @@
 // waiters (registration), decides their eligibility (acquisition), and
 // selects who is granted the lock on release (release).
 //
-// All methods are called under the owning lock's meta guard; schedulers are
-// therefore plain single-threaded data structures.
+// Schedulers are plain single-threaded data structures: the owning lock
+// calls a module only from the thread that currently owns its release
+// module - a meta-guard holder, or a state-word owner running the fast
+// release with configuration quiesced (ConfigurableLock, "the
+// configuration-quiescence epoch") - so two calls never overlap. The one
+// concurrent structure is the distributed queue's WaitQueueCell, which
+// lock-free arrivals push into directly.
 #pragma once
 
 #include <atomic>
@@ -149,15 +154,6 @@ class Scheduler {
   /// when waiters exist (e.g. all below a priority threshold).
   virtual void select(GrantBatch<P>& out, ThreadId hint) = 0;
 
-  /// Non-mutating preview of select(): the record a subsequent select with
-  /// the same hint would grant first, or nullptr when it would grant
-  /// nobody. Modules that cannot preview may return nullptr; the lock then
-  /// simply skips successor pre-computation for them.
-  [[nodiscard]] virtual const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept {
-    return nullptr;
-  }
-
   [[nodiscard]] virtual bool empty() const noexcept = 0;
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
@@ -198,8 +194,7 @@ class Scheduler {
 
 /// Common base of the queue-backed scheduler modules: owns the intrusive
 /// waiter queue and implements the registration-side operations (with
-/// version bumps) once. Concrete modules supply kind(), select() and
-/// peek_next().
+/// version bumps) once. Concrete modules supply kind() and select().
 template <Platform P>
 class QueuedScheduler : public Scheduler<P> {
  public:
@@ -253,16 +248,12 @@ class FcfsScheduler final : public QueuedScheduler<P> {
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (WaiterRecord<P>* w = this->queue_.front()) this->take(*w, out);
   }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return this->queue_.front();
-  }
 };
 
 /// Priority queue: grants the waiter with the highest priority (FIFO among
 /// equals). Inherently unfair; useful when some threads' progress matters
 /// more (paper section 4.3.1). Selection is a linear scan - queue lengths
-/// are bounded by thread counts and the scan runs under the meta guard.
+/// are bounded by thread counts and the scan runs in the release module.
 template <Platform P>
 class PriorityQueueScheduler final : public QueuedScheduler<P> {
  public:
@@ -274,10 +265,6 @@ class PriorityQueueScheduler final : public QueuedScheduler<P> {
   }
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (WaiterRecord<P>* best = best_waiter()) this->take(*best, out);
-  }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return best_waiter();
   }
 
  private:
@@ -309,10 +296,6 @@ class PriorityThresholdScheduler final : public QueuedScheduler<P> {
     if (WaiterRecord<P>* chosen = first_eligible()) this->take(*chosen, out);
     // No eligible waiter: grant nobody; the lock is released as free and
     // ineligible waiters keep waiting for the threshold to drop.
-  }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return first_eligible();
   }
   void set_threshold(Priority p) override {
     threshold_ = p;
@@ -353,10 +336,6 @@ class HandoffScheduler final : public QueuedScheduler<P> {
   }
   void select(GrantBatch<P>& out, ThreadId hint) override {
     if (WaiterRecord<P>* chosen = choose(hint)) this->take(*chosen, out);
-  }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId hint) const noexcept override {
-    return choose(hint);
   }
 
  private:
@@ -442,9 +421,6 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
     }
   }
 
-  // No peek_next: RW grants are batches, not single successors; the fast
-  // single-store release path does not apply (base returns nullptr).
-
   void set_rw_preference(RwPreference p) override {
     pref_ = p;
     this->bump_version();
@@ -455,26 +431,23 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
 };
 
 /// Distributed FIFO (SchedulerKind::kQueue): the MCS-family queue-node
-/// scheduler. Registration is a lock-free tail-swap into a WaitQueueCell —
-/// each waiter's queue node is inline in its own WaiterRecord (qnext), so
-/// a waiting thread spins on its record-local grant flag and the only
+/// scheduler. Registration is a tail-swap into a WaitQueueCell - each
+/// waiter's queue node is inline in its own WaiterRecord (qnext), so a
+/// waiting thread spins on its record-local grant flag and the only
 /// shared-word traffic per acquisition is the one tail exchange; release
 /// hands off with a single store to the successor's node.
 ///
-/// This module is a *façade* over the cell: on kRealConcurrency platforms
-/// the lock's arrival path performs the producer protocol itself (without
-/// dereferencing the module — the cell outlives reconfigurations inside
-/// the lock), and the lock's release path consumes the cell with
-/// platform-paced spins where a producer's link store may be in flight.
-/// The Scheduler-interface consumers here are the *non-waiting* variants:
-/// select()/pop_any() return nobody when they encounter an in-flight link
-/// window (the lock retries or sweeps strays), which keeps every method
-/// safe to call under the meta guard on any platform — and exact on the
-/// simulator, where registration is meta-serialized and no window exists.
+/// A thin module: every Scheduler method forwards to the cell, which holds
+/// the queue's only implementation. The interface carries no context, so
+/// these calls run the cell's operations without scheduling points or
+/// paced waits - exact wherever producers and the consumer are serialized
+/// by one guard. The lock itself drives the cell directly with the
+/// caller's context (paced link-window waits) and uses this module only as
+/// its kind and emptiness view.
 ///
-/// By default the module owns its cell (standalone/simulator use); the
-/// lock constructs it over the lock-resident cell instead so the cell's
-/// identity survives configure_scheduler round trips.
+/// By default the module owns its cell (standalone use); the lock builds
+/// it over the lock-resident cell instead so the cell's identity survives
+/// configure_scheduler round trips.
 template <Platform P>
 class DistributedQueueScheduler final : public Scheduler<P> {
  public:
@@ -491,81 +464,19 @@ class DistributedQueueScheduler final : public Scheduler<P> {
     return SuccessorPolicy::kStableHead;  // FIFO: the queue head stays put
   }
 
-  /// Producer protocol: tail-swap, then publish the link (predecessor's
-  /// qnext, or the cell's first-arrival slot when the queue was empty).
-  /// Safe against concurrent producers; never waits.
   void enqueue(Rec& w) override {
-    w.qnext.store(nullptr, std::memory_order_relaxed);
-    Rec* prev = cell_->tail.exchange(&w, std::memory_order_seq_cst);
-    if (prev != nullptr) {
-      prev->qnext.store(&w, std::memory_order_release);
-    } else {
-      cell_->first.store(&w, std::memory_order_release);
-    }
-    cell_->count.fetch_add(1, std::memory_order_relaxed);
+    cell_->push(nullptr, w);
     this->bump_version();
   }
-
-  /// Consumer-side head insertion (fast-release cache reclaim). Requires
-  /// the consumer role; races only the producer protocol.
   void enqueue_front(Rec& w) override {
-    Cell& c = *cell_;
-    w.qnext.store(nullptr, std::memory_order_relaxed);
-    if (c.head == nullptr) {
-      Rec* expected = nullptr;
-      if (c.tail.compare_exchange_strong(expected, &w,
-                                         std::memory_order_seq_cst)) {
-        // Empty cell: we are the new generation's first and last. Later
-        // producers see a non-null tail and link behind us.
-        c.head = &w;
-        c.count.fetch_add(1, std::memory_order_relaxed);
-        this->bump_version();
-        return;
-      }
-      if (!normalize()) {
-        // A producer holds the publication window open. Unreachable where
-        // this is called (meta-serialized platforms / quiesced consumers);
-        // fall back to waiting for the publication.
-        spin_normalize();
-      }
-    }
-    w.qnext.store(c.head, std::memory_order_release);
-    c.head = &w;
-    c.count.fetch_add(1, std::memory_order_relaxed);
+    cell_->push_front(nullptr, w);
     this->bump_version();
   }
-
-  /// Consumer-side withdrawal. Exact on meta-serialized platforms; on
-  /// kRealConcurrency platforms the lock routes withdrawals through its
-  /// own paced remover instead (an in-flight producer link can force a
-  /// wait this non-waiting interface cannot perform).
   void remove(Rec& w) override {
-    Cell& c = *cell_;
-    if (c.head == nullptr && !normalize()) return;
-    Rec* prev = nullptr;
-    Rec* cur = c.head;
-    while (cur != nullptr && cur != &w) {
-      Rec* nxt = cur->qnext.load(std::memory_order_acquire);
-      if (nxt == nullptr &&
-          c.tail.load(std::memory_order_seq_cst) != cur) {
-        spin_link(*cur, nxt);
-      }
-      prev = cur;
-      cur = nxt;
-    }
-    if (cur == nullptr) return;
-    unlink(prev, w);
-    this->bump_version();
+    if (cell_->remove(nullptr, w)) this->bump_version();
   }
-
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (Rec* w = try_pop()) out.push_back(w);
-  }
-
-  [[nodiscard]] const Rec* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    if (cell_->head != nullptr) return cell_->head;
-    return cell_->first.load(std::memory_order_acquire);
+    if (Rec* w = pop_any()) out.push_back(w);
   }
 
   [[nodiscard]] bool empty() const noexcept override {
@@ -575,91 +486,13 @@ class DistributedQueueScheduler final : public Scheduler<P> {
     return cell_->count.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] Rec* pop_any() noexcept override { return try_pop(); }
-
-  [[nodiscard]] Cell& cell() noexcept { return *cell_; }
+  [[nodiscard]] Rec* pop_any() noexcept override {
+    Rec* const w = cell_->pop(nullptr);
+    if (w != nullptr) this->bump_version();
+    return w;
+  }
 
  private:
-  /// Pops the queue head, or returns nullptr when the queue is empty OR a
-  /// producer's link publication is still in flight (callers retry or let
-  /// the lock's paced consumer finish the job).
-  [[nodiscard]] Rec* try_pop() noexcept {
-    Cell& c = *cell_;
-    if (c.head == nullptr && !normalize()) return nullptr;
-    Rec* h = c.head;
-    Rec* nxt = h->qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      Rec* expected = h;
-      if (c.tail.compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_seq_cst)) {
-        c.head = nullptr;
-      } else {
-        // A successor is mid-link behind h: without waiting for the link
-        // we cannot pop h and keep its successor reachable.
-        nxt = h->qnext.load(std::memory_order_acquire);
-        if (nxt == nullptr) return nullptr;
-        c.head = nxt;
-      }
-    } else {
-      c.head = nxt;
-    }
-    h->qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-    this->bump_version();
-    return h;
-  }
-
-  /// Adopts a published first arrival into the consumer cursor. Returns
-  /// false when the queue is empty or the publication is still in flight.
-  [[nodiscard]] bool normalize() noexcept {
-    Cell& c = *cell_;
-    if (c.tail.load(std::memory_order_seq_cst) == nullptr) return false;
-    Rec* f = c.first.load(std::memory_order_acquire);
-    if (f == nullptr) return false;
-    c.head = f;
-    c.first.store(nullptr, std::memory_order_relaxed);
-    return true;
-  }
-
-  void spin_normalize() noexcept {
-    while (!normalize()) {
-    }
-  }
-
-  static void spin_link(Rec& r, Rec*& out) noexcept {
-    while ((out = r.qnext.load(std::memory_order_acquire)) == nullptr) {
-    }
-  }
-
-  /// Unlinks `w` (== prev->qnext, or the head when prev is null), waiting
-  /// out a mid-link successor if the tail CAS loses the race.
-  void unlink(Rec* prev, Rec& w) noexcept {
-    Cell& c = *cell_;
-    Rec* nxt = w.qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // Possibly the tail. Pre-clear the predecessor's link *before* the
-      // tail swing: once the CAS lands, a new producer may store through
-      // prev->qnext, and that store must not be overwritten.
-      if (prev != nullptr) prev->qnext.store(nullptr, std::memory_order_release);
-      Rec* expected = &w;
-      if (c.tail.compare_exchange_strong(expected, prev,
-                                         std::memory_order_seq_cst)) {
-        if (prev == nullptr) c.head = nullptr;
-        w.qnext.store(nullptr, std::memory_order_relaxed);
-        c.count.fetch_sub(1, std::memory_order_relaxed);
-        return;
-      }
-      spin_link(w, nxt);  // a successor linked behind w: route it to prev
-    }
-    if (prev != nullptr) {
-      prev->qnext.store(nxt, std::memory_order_release);
-    } else {
-      c.head = nxt;
-    }
-    w.qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-  }
-
   Cell owned_;
   Cell* cell_;
 };

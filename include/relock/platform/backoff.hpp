@@ -1,10 +1,13 @@
 // Exponential backoff in the style of Anderson et al. [ALL89]: the delay
 // between successive probes of a busy lock grows geometrically (like the
-// Ethernet collision backoff the paper cites) up to a cap.
+// Ethernet collision backoff the paper cites) up to a cap. Also the polite
+// failed-probe step (spin_step) that the lock's waits and the distributed
+// queue's link-window waits share.
 #pragma once
 
 #include <cstdint>
 
+#include "relock/platform/platform.hpp"
 #include "relock/platform/types.hpp"
 
 namespace relock {
@@ -41,5 +44,34 @@ class BackoffSchedule {
   Params params_{};
   Nanos current_ = Params{}.initial;
 };
+
+/// Failed probes a waiter tolerates (grant-flag spins, link-window waits)
+/// before escalating from PAUSE to yielding the processor; real-concurrency
+/// platforms only.
+inline constexpr std::uint32_t kSpinsBeforeYield = 64;
+/// Same, when live threads exceed processors (spinning mostly steals the
+/// quantum the releaser needs).
+inline constexpr std::uint32_t kSpinsBeforeYieldOversubscribed = 4;
+
+/// One polite failed-probe step. On real-concurrency platforms a long
+/// streak escalates from PAUSE to yielding the processor: with more
+/// waiters than processors, burning the quantum on PAUSE delays the very
+/// thread that must release or hand off the lock (the all-spin FCFS cells
+/// of bench/native_throughput.cpp collapse by ~100x without this), and an
+/// oversubscribed domain gives way much sooner. The simulator's pause is a
+/// costed event and keeps the seed behaviour. Under relock-check both
+/// pause and yield are gated scheduling points, so a wait built on this
+/// step stays finite there.
+template <Platform P>
+void spin_step(typename P::Context& ctx, std::uint32_t& streak) {
+  if constexpr (kRealConcurrency<P>) {
+    if (++streak >= (P::oversubscribed(ctx) ? kSpinsBeforeYieldOversubscribed
+                                             : kSpinsBeforeYield)) {
+      P::yield(ctx);
+      return;
+    }
+  }
+  P::pause(ctx);
+}
 
 }  // namespace relock

@@ -1,9 +1,11 @@
-// SchedulerKind::kQueue - the distributed MCS-family scheduler on the
-// native path. Covers the façade module directly (enqueue/select/remove
-// semantics on the shared cell), contended FIFO handoff with spinning and
-// blocking waiting policies, timeout self-removal of head/middle/tail
-// nodes (lock_for and native::Mutex::try_lock_for), interaction with the
-// fissile fast path, and reconfiguration to and from kQueue under load.
+// SchedulerKind::kQueue - the distributed MCS-family scheduler. Covers the
+// façade module directly (enqueue/select/remove semantics on the shared
+// cell), the lock on the simulator (FIFO grants and middle-node timeout
+// self-removal through the same cell the native lock drives), and on the
+// native path contended FIFO handoff with spinning and blocking waiting
+// policies, timeout self-removal of head/middle/tail nodes (lock_for and
+// native::Mutex::try_lock_for), interaction with the fissile fast path,
+// and reconfiguration to and from kQueue under load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,14 +43,16 @@ void await(F&& probe, bool want) {
 }
 
 // ------------------------------------------- façade module unit tests ----
-// The DistributedQueueScheduler is exact (no in-flight link windows) when
-// producers and the consumer are the same thread, which is how the
-// simulator and the meta-guarded drains use it - so its single-threaded
-// queue semantics can be pinned down directly.
+// The DistributedQueueScheduler forwards to the cell without a context, so
+// it is exact only where producers and the consumer cannot overlap - a
+// single thread here - which pins the cell's queue semantics down
+// directly.
 
 using sim::Machine;
 using sim::MachineParams;
+using sim::ProcId;
 using sim::SimPlatform;
+using sim::Thread;
 using SimRec = WaiterRecord<SimPlatform>;
 
 class QueueFacadeUnit : public ::testing::Test {
@@ -82,7 +86,6 @@ TEST_F(QueueFacadeUnit, FifoSelectIgnoresPriorityAndHint) {
   sched_.enqueue(b);
   sched_.enqueue(c);
   EXPECT_EQ(sched_.size(), 3u);
-  EXPECT_EQ(sched_.peek_next(kInvalidThread), &a);
   GrantBatch<SimPlatform> batch;
   sched_.select(batch, /*hint=*/3);  // hints do not reorder a FIFO
   ASSERT_EQ(batch.size(), 1u);
@@ -128,11 +131,93 @@ TEST_F(QueueFacadeUnit, EnqueueFrontRestoresHeadPosition) {
   sched_.enqueue_front(*head);  // reclaim: oldest goes back in front
   EXPECT_EQ(sched_.pop_any(), &a);
   EXPECT_EQ(sched_.pop_any(), &b);
-  // enqueue_front into an empty queue is the degenerate case.
+  // enqueue_front into an empty queue is the degenerate case; later
+  // arrivals still link behind the re-inserted head.
   sched_.enqueue_front(a);
-  EXPECT_EQ(sched_.peek_next(kInvalidThread), &a);
+  sched_.enqueue(b);
   EXPECT_EQ(sched_.pop_any(), &a);
+  EXPECT_EQ(sched_.pop_any(), &b);
   EXPECT_TRUE(sched_.empty());
+}
+
+// ------------------------------------------------- the lock on the sim ---
+// The simulator publishes every arrival under the meta guard and runs the
+// lock's kQueue grants and withdrawals on the same WaitQueueCell code the
+// native lock and relock-check drive.
+
+using SimLock = ConfigurableLock<SimPlatform>;
+
+SimLock::Options sim_opts() {
+  SimLock::Options o;
+  o.scheduler = SchedulerKind::kQueue;
+  o.attributes = LockAttributes::spin();
+  o.placement = Placement::on(0);
+  o.monitor_enabled = true;
+  return o;
+}
+
+TEST(QueueSchedulerSim, ContendedGrantOrderIsFifo) {
+  // Waiters arrive 2 -> 3 -> 1 behind a long hold; priorities rank them the
+  // other way round, which a FIFO must ignore.
+  Machine m(MachineParams::test_machine(4));
+  SimLock lock(m, sim_opts());
+  std::vector<int> order;
+  m.spawn(0, [&](Thread& t) {
+    ASSERT_TRUE(lock.lock(t));
+    m.compute(t, 300'000);
+    lock.unlock(t);
+  });
+  const Nanos arrive_at[] = {0, 6'000, 2'000, 4'000};
+  for (int i = 1; i <= 3; ++i) {
+    m.spawn(static_cast<ProcId>(i), [&, i](Thread& t) {
+      t.set_priority(static_cast<Priority>(10 * i));
+      m.compute(t, arrive_at[i]);
+      ASSERT_TRUE(lock.lock(t));
+      order.push_back(i);
+      m.compute(t, 1'000);
+      lock.unlock(t);
+    });
+  }
+  m.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
+  EXPECT_EQ(lock.waiter_count(), 0u);
+  EXPECT_EQ(lock.monitor().snapshot().handoffs, 3u);
+}
+
+TEST(QueueSchedulerSim, LockForSelfRemovesAMiddleWaiter) {
+  // W1 and W3 (no timeout) bracket W2 (100 us timeout) behind a 500 us
+  // hold: W2's node unlinks itself from the middle of the cell, and the
+  // release chain still reaches W1 then W3.
+  Machine m(MachineParams::test_machine(4));
+  SimLock lock(m, sim_opts());
+  std::vector<int> order;
+  bool w2_timed_out = false;
+  m.spawn(0, [&](Thread& t) {
+    ASSERT_TRUE(lock.lock(t));
+    m.compute(t, 500'000);
+    lock.unlock(t);
+  });
+  m.spawn(1, [&](Thread& t) {
+    m.compute(t, 2'000);
+    ASSERT_TRUE(lock.lock(t));
+    order.push_back(1);
+    lock.unlock(t);
+  });
+  m.spawn(2, [&](Thread& t) {
+    m.compute(t, 4'000);
+    w2_timed_out = !lock.lock_for(t, 100'000);
+  });
+  m.spawn(3, [&](Thread& t) {
+    m.compute(t, 6'000);
+    ASSERT_TRUE(lock.lock(t));
+    order.push_back(3);
+    lock.unlock(t);
+  });
+  m.run();
+  EXPECT_TRUE(w2_timed_out);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(lock.waiter_count(), 0u);
+  EXPECT_EQ(lock.monitor().snapshot().timeouts, 1u);
 }
 
 // ------------------------------------------------ native lock behavior ---
