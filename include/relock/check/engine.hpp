@@ -5,7 +5,7 @@
 // test thread) resumes exactly one coroutine at a time, so a schedule is a
 // totally ordered sequence of *steps*. A step runs a thread from one
 // scheduling point to the next: platform Word operations, chk_point hooks
-// (host-side atomics: epoch counters, next_grant_, grant scratch, arrival
+// (host-side atomics: epoch counters, next_grant_, module selections, arrival
 // links, attribute seqlocks), parker transitions, pauses/yields/delays, and
 // block/block_for. The strategy (DFS with a preemption bound, PCT-style
 // randomized priorities, or trace replay) chooses which enabled action runs
@@ -229,12 +229,12 @@ class Engine {
   void pause_point(Context& ctx, const char* tag);
   /// Point + gate + advance the logical clock by `ns` (busy delay).
   void delay_point(Context& ctx, Nanos ns);
-  /// Scheduling point issued by context-free code (GrantBatch), resolved to
-  /// the currently running model thread. Also the shared-scratch oracle:
-  /// `begin` (a clear) opens a scratch session owned by the caller; any
-  /// other mutation by a non-owner is two releasers sharing the scratch -
-  /// the race the quiescence epoch must prevent.
-  void scratch_point(bool begin);
+  /// Scheduling point issued by the release module's selection (chk_select),
+  /// resolved to the currently running model thread. Also the single-owner
+  /// oracle: `open` starts a selection session owned by the caller; a
+  /// module unlink by anyone else is two releasers selecting from one
+  /// module - the race the quiescence epoch must prevent.
+  void select_point(bool open);
 
   /// Deschedules the caller until notify(tid) or - for a finite `ns` - a
   /// strategy-chosen timeout firing. Returns true iff notified.
@@ -356,7 +356,7 @@ class Engine {
   std::uint32_t fast_release_depth_ = 0;
   std::uint32_t config_mutate_depth_ = 0;
   std::uint32_t breaker_mirror_ = 0;
-  ThreadId scratch_owner_ = kInvalidThread;
+  ThreadId select_owner_ = kInvalidThread;
   std::vector<AttrTuple> allowed_attrs_;
 };
 

@@ -162,8 +162,8 @@ struct CheckPlatform {
                         std::uint64_t sleep, std::uint64_t timeout) {
     ctx.engine().on_attrs(ctx, AttrTuple{spin, delay, sleep, timeout});
   }
-  static void chk_scratch(bool begin) {
-    if (Engine* e = Engine::current()) e->scratch_point(begin);
+  static void chk_select(bool open) {
+    if (Engine* e = Engine::current()) e->select_point(open);
   }
 
  private:

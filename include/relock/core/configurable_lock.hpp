@@ -1559,29 +1559,15 @@ class ConfigurableLock {
 
   /// The release module's one selection step, shared by the guarded
   /// release, the fast release and its pre-selection refill. Returns the
-  /// first grantee, nullptr when nobody is eligible. With `batch` the whole
-  /// grant batch is appended to the grant scratch session the caller
-  /// opened (the guarded release); without, the caller wants only the next
-  /// grantee and the scratch is left empty. The distributed queue pops its
-  /// cell head, waiting out producer link windows so a linked waiter is
-  /// never skipped, and touches the scratch only to append: the scratch
-  /// sits on the lock's own cache lines, and writing it on every queued
-  /// handoff cost ~5 % of lock_handoff throughput. Every other kind runs
-  /// the module's select() through the scratch, in a session of its own
-  /// when the caller opened none.
-  WaiterRecord<P>* select_next(Ctx& ctx, Scheduler<P>& sched, ThreadId hint,
-                               bool batch) {
-    if (serves_cell(&sched)) {
-      WaiterRecord<P>* const w = queue_cell_.pop(&ctx);
-      if (batch && w != nullptr) grant_scratch_.push_back(w);
-      return w;
-    }
-    if (!batch) grant_scratch_.clear();
-    sched.select(grant_scratch_, hint);
-    WaiterRecord<P>* const w =
-        grant_scratch_.empty() ? nullptr : grant_scratch_.front();
-    if (!batch) grant_scratch_.clear();
-    return w;
+  /// unlinked first grantee (a reader batch continues through batch_next),
+  /// nullptr when nobody is eligible. The distributed queue pops its cell
+  /// head, waiting out producer link windows so a linked waiter is never
+  /// skipped; every other kind runs the module's select(). Selection
+  /// writes no lock-owned scratch: the result travels in the return value
+  /// and, for a reader batch, in the records' own links.
+  WaiterRecord<P>* select_next(Ctx& ctx, Scheduler<P>& sched, ThreadId hint) {
+    chk_select<P>(/*open=*/true);
+    return serves_cell(&sched) ? queue_cell_.pop(&ctx) : sched.select(hint);
   }
 
   /// Pre-selects the grantee for the NEXT release while this releaser
@@ -1589,8 +1575,7 @@ class ConfigurableLock {
   /// publishes with a single store. Version snapshot taken after the
   /// select, so any later mutation invalidates the cache.
   void refill_next_grant(Ctx& ctx, Scheduler<P>& sched) {
-    WaiterRecord<P>* const nxt =
-        select_next(ctx, sched, kInvalidThread, /*batch=*/false);
+    WaiterRecord<P>* const nxt = select_next(ctx, sched, kInvalidThread);
     if (nxt == nullptr) {
       next_grant_.store(nullptr, std::memory_order_relaxed);
       return;
@@ -1673,7 +1658,7 @@ class ConfigurableLock {
     }
     if (succ == nullptr) {
       chk_point<P>(ctx, "fr.select");
-      succ = select_next(ctx, sched, hint, /*batch=*/false);
+      succ = select_next(ctx, sched, hint);
       if (succ == nullptr) {
         // Nobody eligible: publishing the word free (and waking barging
         // sleepers) is the guarded path's job.
@@ -1750,13 +1735,13 @@ class ConfigurableLock {
   }
 
   /// Runs the release module: drains lock-free arrivals, installs a pending
-  /// scheduler if the old one has drained, selects the next grant batch,
-  /// and either hands the lock off or publishes it as free. Expects meta
-  /// held; releases it.
+  /// scheduler if the old one has drained, selects the next grantee (a
+  /// writer, or a reader batch), and either hands the lock off or publishes
+  /// it as free. Expects meta held; releases it.
   ///
-  /// Allocation-free in steady state (asserted by release_alloc_test): the
-  /// wake list lives in a fixed stack array and the grant batch reuses the
-  /// lock's scratch instance. The wake list must be local - once meta is
+  /// Allocation-free (asserted by release_alloc_test): a reader batch is
+  /// chained through its records' batch_next links and the wake list lives
+  /// in a fixed stack array. The wake list must be local - once meta is
   /// released another thread may release again concurrently - so overflow
   /// wakes (giant reader batches) are issued while meta is still held:
   /// correct, just a longer guard hold on a path that is rare by
@@ -1766,17 +1751,18 @@ class ConfigurableLock {
     std::size_t wake_count = 0;
     // Coroutine waiters granted in this release: their delivery hooks must
     // run after meta_unlock (a hook may resume a frame that re-enters the
-    // lock), so they are chained here through the granter-owned hook_next
-    // link. Safe to chain before the granted store: a hooked record's
-    // lifetime is owned by the suspended frame, which cannot resume - and
-    // so cannot free the record - until its hook fires below.
+    // lock), so they are chained here through the granter-owned batch_next
+    // link once the grant loop has read it. Safe to chain before the
+    // granted store: a hooked record's lifetime is owned by the suspended
+    // frame, which cannot resume - and so cannot free the record - until
+    // its hook fires below.
     WaiterRecord<P>* hooked_head = nullptr;
     WaiterRecord<P>** hooked_tail = &hooked_head;
     const auto chain_hook = [&](WaiterRecord<P>* w) {
       if (w->grant_hook == nullptr) return;
-      w->hook_next = nullptr;
+      w->batch_next = nullptr;
       *hooked_tail = w;
-      hooked_tail = &w->hook_next;
+      hooked_tail = &w->batch_next;
     };
     const auto queue_wake = [&](ThreadId tid) {
       monitor_.on_wakeup();
@@ -1798,24 +1784,23 @@ class ConfigurableLock {
           has_pending_.load(std::memory_order_relaxed)) {
         install_pending(ctx);
       }
-      grant_scratch_.clear();
       // Orphans first, FIFO: waiters drained while no scheduler module was
       // current (reconfigured to kNone mid-arrival) precede any module's
       // choice so they cannot be stranded behind it.
-      if (WaiterRecord<P>* orphan = orphans_.front()) {
-        orphans_.remove(*orphan);
-        grant_scratch_.push_back(orphan);
+      WaiterRecord<P>* w = orphans_.front();
+      if (w != nullptr) {
+        orphans_.remove(*w);
       } else if (scheduler_ != nullptr) {
-        (void)select_next(ctx, *scheduler_, hint, /*batch=*/true);
+        w = select_next(ctx, *scheduler_, hint);
       }
 
-      if (grant_scratch_.empty()) {
+      if (w == nullptr) {
         // Nobody eligible: publish free and wake sleeping barging waiters.
         P::store(ctx, state_, 0);
         note(ctx, LockEvent::kReleaseFree);
-        sleepers_.for_each([&](WaiterRecord<P>& w) {
-          sleepers_.remove(w);
-          queue_wake(w.tid);
+        sleepers_.for_each([&](WaiterRecord<P>& sleeper) {
+          sleepers_.remove(sleeper);
+          queue_wake(sleeper.tid);
           return true;
         });
         if constexpr (kRealConcurrency<P>) {
@@ -1843,58 +1828,46 @@ class ConfigurableLock {
         break;
       }
 
-      // Direct handoff: the state word stays held.
-      const bool shared_grant = grant_scratch_.front()->shared;
-      holders_ = static_cast<std::uint32_t>(grant_scratch_.size());
-      writer_held_ = !shared_grant;
-      assert(shared_grant || holders_ == 1);
-      if (!shared_grant) {
-        // Exclusive handoff: the granted store transfers the state word,
-        // and the new owner may run a fast release - which uses
-        // grant_scratch_ without taking meta - the instant it lands. Empty
-        // the batch BEFORE publishing so the scratch is never shared.
-        WaiterRecord<P>* w = grant_scratch_.front();
-#ifndef RELOCK_CHECK_SEEDED_BUG_1
-        grant_scratch_.clear();
-#endif
-        P::store(ctx, owner_, static_cast<std::uint64_t>(w->tid) + 1);
+      // Direct handoff: the state word stays held. One grant store per
+      // record - a writer alone, or a reader batch in selection order. An
+      // exclusive grant transfers the state word, and the new owner may run
+      // a fast release - selecting from the module without meta - the
+      // instant its store lands, so that store is this release's last
+      // touch of the module. Each record's batch_next is read before its
+      // store, after which the record (on the waiter's stack) may
+      // disappear; only captured values are used below it.
+      const bool exclusive = !w->shared;
+      writer_held_ = exclusive;
+      holders_ = 0;
+      do {
+        WaiterRecord<P>* const next = w->batch_next;
+        const ThreadId tid = w->tid;
+        const bool may_sleep = w->may_sleep;
+        assert(!exclusive || next == nullptr);
+        ++holders_;
+        if (exclusive) {
+          P::store(ctx, owner_, static_cast<std::uint64_t>(tid) + 1);
+        }
         w->registered_with = nullptr;
         w->granted_flag_host = true;
         monitor_.on_handoff();
-        const ThreadId tid = w->tid;
-        const bool may_sleep = w->may_sleep;
         chain_hook(w);
         P::store(ctx, w->granted, 1);
         note(ctx, LockEvent::kGranted, tid);
-#ifdef RELOCK_CHECK_SEEDED_BUG_1
-        // Seeded PR 2 bug (TSan-caught): the shared grant scratch is
-        // cleared only after the grant flag is published, so the new owner
-        // may already be inside its own fast release - using the scratch
-        // without meta - when this late clear lands.
-        chk_point<P>(ctx, "bug1.window");
-        grant_scratch_.clear();
-#endif
-        // After this store the record (on the waiter's stack) may
-        // disappear; only the captured tid is used below.
         if (may_sleep) queue_wake(tid);
-        meta_unlock(ctx);
-        break;
+        w = next;
+      } while (w != nullptr);
+#ifdef RELOCK_CHECK_SEEDED_BUG_1
+      // Seeded bug, of the class of the original grant-before-scratch-clear
+      // race: the guarded exclusive handoff pre-selects the next grantee
+      // AFTER its grant store, so the new owner may already be selecting
+      // from the same module in its own fast release when this refill
+      // lands.
+      if (exclusive && scheduler_ != nullptr) {
+        chk_point<P>(ctx, "bug1.window");
+        refill_next_grant(ctx, *scheduler_);
       }
-      // Shared batch: only reader-writer locks produce these, and RW locks
-      // never take the fast-release path, so nobody races the scratch.
-      for (WaiterRecord<P>* w : grant_scratch_) {
-        w->registered_with = nullptr;
-        w->granted_flag_host = true;
-        monitor_.on_handoff();
-        if (w->may_sleep) queue_wake(w->tid);
-        const ThreadId shared_tid = w->tid;
-        chain_hook(w);
-        P::store(ctx, w->granted, 1);
-        note(ctx, LockEvent::kGranted, shared_tid);
-        // After this store the record (on the waiter's stack) may disappear
-        // once meta is released; only the captured tids are used below.
-      }
-      grant_scratch_.clear();  // drop dangling pointers before leaving meta
+#endif
       meta_unlock(ctx);
       break;
     }
@@ -1904,7 +1877,7 @@ class ConfigurableLock {
     // Deliver coroutine grants. Each hook is the granter's last touch of
     // its record: the resumed frame owns it and may free it immediately.
     for (WaiterRecord<P>* w = hooked_head; w != nullptr;) {
-      WaiterRecord<P>* const next = w->hook_next;
+      WaiterRecord<P>* const next = w->batch_next;
       w->grant_hook(w->grant_hook_arg, ctx);
       w = next;
     }
@@ -2272,7 +2245,6 @@ class ConfigurableLock {
 
   WaiterQueue<P> sleepers_;     ///< centralized-mode sleeping waiters (meta)
   WaiterQueue<P> orphans_;      ///< drained arrivals with no module (meta)
-  GrantBatch<P> grant_scratch_; ///< reused by the module owner only
 
   // Configuration-quiescence epoch (kRealConcurrency fast release). Host-
   // side atomics so the simulator's word placement is untouched.

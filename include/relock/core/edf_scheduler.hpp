@@ -23,8 +23,9 @@ class EdfScheduler final : public QueuedScheduler<P> {
     return SchedulerKind::kCustom;
   }
 
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (WaiterRecord<P>* best = earliest_deadline()) this->take(*best, out);
+  WaiterRecord<P>* select(ThreadId /*hint*/) override {
+    WaiterRecord<P>* const best = earliest_deadline();
+    return best != nullptr ? this->take(*best) : nullptr;
   }
 
  private:

@@ -1,7 +1,10 @@
 // The lock scheduling component Gamma = (registration, acquisition,
 // release) (paper section 3.1). A Scheduler owns the queue of registered
 // waiters (registration), decides their eligibility (acquisition), and
-// selects who is granted the lock on release (release).
+// selects who is granted the lock on release (release). Selection hands
+// back the grantee itself; the only storage a grant batch needs is the
+// records' own batch_next links, so selecting writes nothing but the
+// module's queue and the grantees' records.
 //
 // Schedulers are plain single-threaded data structures: the owning lock
 // calls a module only from the thread that currently owns its release
@@ -14,10 +17,8 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "relock/core/attributes.hpp"
 #include "relock/core/waiter.hpp"
@@ -25,80 +26,6 @@
 #include "relock/platform/platform.hpp"
 
 namespace relock {
-
-/// The set of waiters granted by one release. A single writer, or - for the
-/// reader-writer scheduler - a batch of readers.
-///
-/// Small-inline container: the first kInline grants live in embedded
-/// storage; only an oversized reader batch touches the spill vector, whose
-/// capacity is retained across clear(). Reused instances therefore make the
-/// steady-state release path allocation-free (ISSUE 1 tentpole; asserted by
-/// tests/release_alloc_test.cpp).
-template <Platform P>
-class GrantBatch {
- public:
-  using value_type = WaiterRecord<P>*;
-  static constexpr std::size_t kInline = 8;
-
-  // Both mutators are checker scheduling points (relock-check's shared-
-  // scratch oracle: clear opens a session, pushes must come from its
-  // owner); clear is therefore not annotated noexcept, though it never
-  // throws outside the checker.
-
-  void push_back(value_type w) {
-    chk_scratch<P>(/*begin=*/false);
-    if (size_ < kInline) {
-      inline_[size_] = w;
-    } else {
-      spill_.push_back(w);
-    }
-    ++size_;
-  }
-
-  void clear() {
-    chk_scratch<P>(/*begin=*/true);
-    size_ = 0;
-    spill_.clear();  // capacity retained
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] value_type front() const noexcept { return (*this)[0]; }
-  [[nodiscard]] value_type operator[](std::size_t i) const noexcept {
-    return i < kInline ? inline_[i] : spill_[i - kInline];
-  }
-
-  class const_iterator {
-   public:
-    const_iterator(const GrantBatch* b, std::size_t i) noexcept
-        : b_(b), i_(i) {}
-    value_type operator*() const noexcept { return (*b_)[i_]; }
-    const_iterator& operator++() noexcept {
-      ++i_;
-      return *this;
-    }
-    friend bool operator!=(const const_iterator& a,
-                           const const_iterator& b) noexcept {
-      return a.i_ != b.i_;
-    }
-
-   private:
-    const GrantBatch* b_;
-    std::size_t i_;
-  };
-
-  [[nodiscard]] const_iterator begin() const noexcept {
-    return const_iterator(this, 0);
-  }
-  [[nodiscard]] const_iterator end() const noexcept {
-    return const_iterator(this, size_);
-  }
-
- private:
-  value_type inline_[kInline] = {};
-  std::vector<value_type> spill_;
-  std::size_t size_ = 0;
-};
 
 /// How a module's pre-selected successor — the lock's single-store
 /// fast-release cache — can go stale. The lock's release path keys every
@@ -149,13 +76,15 @@ class Scheduler {
   /// Withdraws a waiter (timeout / abandoned conditional acquisition).
   virtual void remove(WaiterRecord<P>& w) = 0;
 
-  /// Release: selects (and unlinks) the next grant recipients. `hint` is
-  /// the handoff target (kInvalidThread = none). May select nobody even
-  /// when waiters exist (e.g. all below a priority threshold).
-  virtual void select(GrantBatch<P>& out, ThreadId hint) = 0;
+  /// Release: selects and unlinks the next grantee. `hint` is the handoff
+  /// target (kInvalidThread = none). Returns nullptr when nobody is
+  /// eligible, even if waiters exist (e.g. all below a priority
+  /// threshold). A reader batch comes back as its first record with the
+  /// rest chained through WaiterRecord::batch_next; any other grantee's
+  /// batch_next is null.
+  [[nodiscard]] virtual WaiterRecord<P>* select(ThreadId hint) = 0;
 
   [[nodiscard]] virtual bool empty() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
   /// Unlinks and returns any one registered waiter (nullptr when empty).
   /// The lock uses this to migrate still-queued waiters when a pending
@@ -176,9 +105,6 @@ class Scheduler {
 
   // Priority-threshold parameters (no-ops for other kinds).
   virtual void set_threshold(Priority) {}
-  [[nodiscard]] virtual Priority threshold() const noexcept {
-    return kDefaultPriority;
-  }
 
   // Reader-writer parameters (no-ops for other kinds).
   virtual void set_rw_preference(RwPreference) {}
@@ -211,9 +137,6 @@ class QueuedScheduler : public Scheduler<P> {
     this->bump_version();
   }
   [[nodiscard]] bool empty() const noexcept override { return queue_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return queue_.size();
-  }
   [[nodiscard]] WaiterRecord<P>* pop_any() noexcept override {
     WaiterRecord<P>* w = queue_.front();
     if (w != nullptr) {
@@ -224,11 +147,14 @@ class QueuedScheduler : public Scheduler<P> {
   }
 
  protected:
-  /// Unlinks `w` and appends it to the grant batch (selection helper).
-  void take(WaiterRecord<P>& w, GrantBatch<P>& out) {
+  /// Unlinks `w` as a selection result (selection helper). A checker
+  /// scheduling point: the caller must own the lock's open selection
+  /// session (chk_select).
+  WaiterRecord<P>* take(WaiterRecord<P>& w) {
+    chk_select<P>(/*open=*/false);
     queue_.remove(w);
-    out.push_back(&w);
     this->bump_version();
+    return &w;
   }
 
   WaiterQueue<P> queue_;
@@ -245,8 +171,9 @@ class FcfsScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
     return SuccessorPolicy::kStableHead;  // the FIFO head stays the head
   }
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (WaiterRecord<P>* w = this->queue_.front()) this->take(*w, out);
+  WaiterRecord<P>* select(ThreadId /*hint*/) override {
+    WaiterRecord<P>* const w = this->queue_.front();
+    return w != nullptr ? this->take(*w) : nullptr;
   }
 };
 
@@ -263,8 +190,9 @@ class PriorityQueueScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
     return SuccessorPolicy::kVersioned;  // a new arrival may outrank the cache
   }
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (WaiterRecord<P>* best = best_waiter()) this->take(*best, out);
+  WaiterRecord<P>* select(ThreadId /*hint*/) override {
+    WaiterRecord<P>* const best = best_waiter();
+    return best != nullptr ? this->take(*best) : nullptr;
   }
 
  private:
@@ -292,17 +220,15 @@ class PriorityThresholdScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
     return SuccessorPolicy::kVersioned;  // a threshold change may disqualify
   }
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (WaiterRecord<P>* chosen = first_eligible()) this->take(*chosen, out);
+  WaiterRecord<P>* select(ThreadId /*hint*/) override {
     // No eligible waiter: grant nobody; the lock is released as free and
     // ineligible waiters keep waiting for the threshold to drop.
+    WaiterRecord<P>* const chosen = first_eligible();
+    return chosen != nullptr ? this->take(*chosen) : nullptr;
   }
   void set_threshold(Priority p) override {
     threshold_ = p;
     this->bump_version();
-  }
-  [[nodiscard]] Priority threshold() const noexcept override {
-    return threshold_;
   }
 
  private:
@@ -334,8 +260,9 @@ class HandoffScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
     return SuccessorPolicy::kHinted;
   }
-  void select(GrantBatch<P>& out, ThreadId hint) override {
-    if (WaiterRecord<P>* chosen = choose(hint)) this->take(*chosen, out);
+  WaiterRecord<P>* select(ThreadId hint) override {
+    WaiterRecord<P>* const chosen = choose(hint);
+    return chosen != nullptr ? this->take(*chosen) : nullptr;
   }
 
  private:
@@ -368,37 +295,38 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
     return SchedulerKind::kReaderWriter;
   }
 
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (this->queue_.empty()) return;
+  WaiterRecord<P>* select(ThreadId /*hint*/) override {
+    // The batch is chained in selection order through the granter-owned
+    // batch_next link, so a batch of any size needs no storage of its own.
+    WaiterRecord<P>* first = nullptr;
+    WaiterRecord<P>** link = &first;
+    const auto grant = [&](WaiterRecord<P>& w) {
+      *link = this->take(w);
+      w.batch_next = nullptr;
+      link = &w.batch_next;
+    };
+    if (this->queue_.empty()) return nullptr;
     switch (pref_) {
-      case RwPreference::kFifo: {
+      case RwPreference::kFifo:
         // Head decides: a writer goes alone; a reader takes every reader up
         // to the first writer.
         if (!this->queue_.front()->shared) {
-          this->take(*this->queue_.front(), out);
-          return;
+          grant(*this->queue_.front());
+          break;
         }
         this->queue_.for_each([&](WaiterRecord<P>& w) {
           if (!w.shared) return false;
-          this->take(w, out);
+          grant(w);
           return true;
         });
-        return;
-      }
-      case RwPreference::kReaderPref: {
-        bool any_reader = false;
+        break;
+      case RwPreference::kReaderPref:
         this->queue_.for_each([&](WaiterRecord<P>& w) {
-          if (w.shared) {
-            this->take(w, out);
-            any_reader = true;
-          }
+          if (w.shared) grant(w);
           return true;
         });
-        if (!any_reader && !this->queue_.empty()) {
-          this->take(*this->queue_.front(), out);
-        }
-        return;
-      }
+        if (first == nullptr) grant(*this->queue_.front());
+        break;
       case RwPreference::kWriterPref: {
         WaiterRecord<P>* writer = nullptr;
         this->queue_.for_each([&](WaiterRecord<P>& w) {
@@ -409,16 +337,17 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
           return true;
         });
         if (writer != nullptr) {
-          this->take(*writer, out);
+          grant(*writer);
         } else {
           this->queue_.for_each([&](WaiterRecord<P>& w) {
-            this->take(w, out);
+            grant(w);
             return true;
           });
         }
-        return;
+        break;
       }
     }
+    return first;
   }
 
   void set_rw_preference(RwPreference p) override {
@@ -475,15 +404,10 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   void remove(Rec& w) override {
     if (cell_->remove(nullptr, w)) this->bump_version();
   }
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (Rec* w = pop_any()) out.push_back(w);
-  }
+  Rec* select(ThreadId /*hint*/) override { return pop_any(); }
 
   [[nodiscard]] bool empty() const noexcept override {
     return cell_->empty();
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return cell_->count.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] Rec* pop_any() noexcept override {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 #include "relock/core/attributes.hpp"
@@ -60,9 +59,12 @@ struct WaiterRecord {
   using GrantHook = void (*)(void* arg, typename P::Context& granter_ctx);
   GrantHook grant_hook = nullptr;
   void* grant_hook_arg = nullptr;
-  /// Granter-owned scratch link: hooked records selected inside one release
-  /// are chained here so their hooks can run after meta_unlock.
-  WaiterRecord* hook_next = nullptr;
+  /// Granter-owned link, meaningful only inside one release. A reader batch
+  /// is chained through it from Scheduler::select to the grant loop (null
+  /// for every other grantee); the grant loop reads it before the record's
+  /// grant store and then reuses it to chain hooked records, whose hooks
+  /// run after meta_unlock.
+  WaiterRecord* batch_next = nullptr;
 
   /// The scheduler module this record was registered with (set under the
   /// lock's meta guard). Timeout withdrawal must remove the record from the
@@ -135,9 +137,6 @@ struct WaitQueueCell {
   std::atomic<Rec*> tail{nullptr};   ///< last arrival; nullptr = empty
   std::atomic<Rec*> first{nullptr};  ///< first arrival's publication slot
   Rec* head = nullptr;               ///< consumer-owned dequeue cursor
-  /// Advisory population count (producers increment after linking, so it
-  /// briefly lags the queue itself). Exact whenever the queue is quiet.
-  std::atomic<std::size_t> count{0};
 
   /// Consumer-side emptiness. Exact for consumers: a record is reachable
   /// from head or (transitively) from the published tail, and the last
@@ -162,7 +161,6 @@ struct WaitQueueCell {
       point(ctx, "qa.first");
       first.store(&w, std::memory_order_release);
     }
-    count.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Consumer: pops the queue head; returns nullptr only when the cell is
@@ -182,14 +180,12 @@ struct WaitQueueCell {
       if (tail.compare_exchange_strong(expected, nullptr,
                                        std::memory_order_seq_cst)) {
         head = nullptr;
-        count.fetch_sub(1, std::memory_order_relaxed);
         return h;
       }
       nxt = await_link(ctx, h->qnext, "qc.chase");
     }
     head = nxt;
     h->qnext.store(nullptr, std::memory_order_relaxed);
-    count.fetch_sub(1, std::memory_order_relaxed);
     return h;
   }
 
@@ -225,7 +221,6 @@ struct WaitQueueCell {
       if (tail.compare_exchange_strong(expected, prev,
                                        std::memory_order_seq_cst)) {
         if (prev == nullptr) head = nullptr;
-        count.fetch_sub(1, std::memory_order_relaxed);
         return true;
       }
       // Lost to a producer that swapped in behind w: adopt its link.
@@ -237,7 +232,6 @@ struct WaitQueueCell {
       head = nxt;
     }
     w.qnext.store(nullptr, std::memory_order_relaxed);
-    count.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
 
@@ -252,7 +246,6 @@ struct WaitQueueCell {
                                        std::memory_order_seq_cst)) {
         // Empty cell: w is first and last; producers link behind it.
         head = &w;
-        count.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       // A producer won the empty slot. w still goes first: adopt the
@@ -261,7 +254,6 @@ struct WaitQueueCell {
     }
     w.qnext.store(head, std::memory_order_release);
     head = &w;
-    count.fetch_add(1, std::memory_order_relaxed);
   }
 
  private:
@@ -308,7 +300,6 @@ class WaiterQueue {
       head_ = &r;
     }
     tail_ = &r;
-    ++size_;
   }
 
   /// Re-inserts a record at the head. Used to return a pre-dequeued
@@ -324,7 +315,6 @@ class WaiterQueue {
       tail_ = &r;
     }
     head_ = &r;
-    ++size_;
   }
 
   void remove(Rec& r) noexcept {
@@ -333,12 +323,10 @@ class WaiterQueue {
     if (r.next != nullptr) r.next->prev = r.prev; else tail_ = r.prev;
     r.prev = r.next = nullptr;
     r.queued = false;
-    --size_;
   }
 
   [[nodiscard]] Rec* front() const noexcept { return head_; }
   [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Iterates in FIFO order; `fn` returning false stops the walk.
   template <typename Fn>
@@ -353,7 +341,6 @@ class WaiterQueue {
  private:
   Rec* head_ = nullptr;
   Rec* tail_ = nullptr;
-  std::size_t size_ = 0;
 };
 
 }  // namespace relock

@@ -1,11 +1,11 @@
 // Yield-point instrumentation hooks for the relock-check model checker.
 //
-// Lock algorithms call chk_point / chk_event / chk_scratch at every shared-
+// Lock algorithms call chk_point / chk_event / chk_select at every shared-
 // memory transition that does NOT already go through a platform Word
 // operation: the configuration-quiescence epoch counters, the next_grant_
-// pre-selection cache, the shared grant scratch, the arrival-link publish
-// window, and the seqlock attribute snapshots all live in host-side
-// atomics, so without these hooks a controlled scheduler could not
+// pre-selection cache, the scheduler module's queue, the arrival-link
+// publish window, and the seqlock attribute snapshots all live in host-side
+// memory, so without these hooks a controlled scheduler could not
 // interleave threads between them.
 //
 // On ordinary platforms (native, sim, vthreads) none of the hook statics
@@ -77,23 +77,21 @@ inline void chk_attrs(typename P::Context& ctx, std::uint64_t spin,
   }
 }
 
-/// A scheduling point inside context-free shared structures (GrantBatch):
-/// the grant scratch is mutated by whichever thread owns the release module,
-/// with no Context parameter in scope. The check platform resolves the
-/// current model thread through the engine; other platforms compile this
-/// out.
-///
-/// `begin` marks a clear() - the start of a new scratch session owned by
-/// the calling thread. Every other mutation must come from the session
-/// owner: two releasers interleaving scratch sessions is exactly the shared-
-/// scratch race the quiescence epoch exists to prevent, and the checker
-/// reports it as an oracle violation.
+/// The release module's single-owner oracle. `open` marks the start of a
+/// selection (ConfigurableLock::select_next), a session owned by the
+/// calling thread; every module unlink (QueuedScheduler::take, which has
+/// no Context in scope) must then come from the session owner. Two
+/// releasers selecting from one module concurrently is exactly the race
+/// the quiescence epoch and the grant-store ordering exist to prevent, and
+/// the checker reports it as an oracle violation. Both calls are
+/// scheduling points there; the check platform resolves the current model
+/// thread through the engine, and other platforms compile this out.
 template <typename P>
-inline void chk_scratch(bool begin) {
-  if constexpr (requires { P::chk_scratch(begin); }) {
-    P::chk_scratch(begin);
+inline void chk_select(bool open) {
+  if constexpr (requires { P::chk_select(open); }) {
+    P::chk_select(open);
   } else {
-    (void)begin;
+    (void)open;
   }
 }
 

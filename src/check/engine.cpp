@@ -167,7 +167,7 @@ void Engine::reset_schedule_state() {
   fast_release_depth_ = 0;
   config_mutate_depth_ = 0;
   breaker_mirror_ = 0;
-  scratch_owner_ = kInvalidThread;
+  select_owner_ = kInvalidThread;
   allowed_attrs_.clear();
 }
 
@@ -411,24 +411,24 @@ void Engine::delay_point(Context& ctx, Nanos ns) {
   point(ctx, "delay");
 }
 
-void Engine::scratch_point(bool begin) {
-  // Context-free hook (GrantBatch): only meaningful while a model thread
-  // is executing; host-side teardown touches batches too.
+void Engine::select_point(bool open) {
+  // Context-free hook (QueuedScheduler::take): only meaningful while a
+  // model thread is executing.
   if (running_ == nullptr) return;
   Context& ctx = running_->ctx;
-  point(ctx, begin ? "scratch.clear" : "scratch.push");
+  point(ctx, open ? "select.open" : "select.take");
   if (abort_) return;
-  // Shared-scratch oracle: a clear starts a new session owned by the
-  // caller; a push by anyone else means two releasers are using the
-  // scratch concurrently (the PR 2 grant-before-clear race).
-  if (begin) {
-    scratch_owner_ = ctx.self();
-  } else if (scratch_owner_ != kInvalidThread &&
-             scratch_owner_ != ctx.self()) {
-    fail_here(ctx, "grant scratch shared: thread " +
+  // Single-owner oracle: an open starts a new session owned by the
+  // caller; an unlink by anyone else means two releasers are selecting
+  // from one module concurrently.
+  if (open) {
+    select_owner_ = ctx.self();
+  } else if (select_owner_ != kInvalidThread &&
+             select_owner_ != ctx.self()) {
+    fail_here(ctx, "release module shared: thread " +
                        std::to_string(ctx.self()) +
-                       " mutated the scratch during thread " +
-                       std::to_string(scratch_owner_) + "'s session");
+                       " took a grantee during thread " +
+                       std::to_string(select_owner_) + "'s selection");
   }
 }
 

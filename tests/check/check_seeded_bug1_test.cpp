@@ -1,13 +1,15 @@
 // Seeded-bug regression 1: this binary is compiled with
-// -DRELOCK_CHECK_SEEDED_BUG_1, which re-introduces the PR 2 data race where
-// grant_or_free's exclusive handoff published the grant flag *before*
-// clearing the shared grant scratch (the clear happens after the new owner
-// may already be running its own fast release). relock-check must find it:
-// the shared-scratch session oracle reports the new owner's scratch
-// mutation landing inside the old releaser's still-open session.
+// -DRELOCK_CHECK_SEEDED_BUG_1, which re-introduces a bug of the class of
+// the original grant-before-scratch-clear race: grant_or_free's exclusive
+// handoff pre-selects the next grantee (refill_next_grant) *after*
+// publishing the grant flag, when the new owner may already be selecting
+// from the same scheduler module in its own fast release. relock-check
+// must find it: the release module's single-owner oracle (chk_select)
+// reports one thread's module unlink landing inside the other's open
+// selection session.
 //
-// The window needs ~4 preemptions in the 3-thread advisory fanout - beyond
-// the affordable exhaustive DFS bound - so this is the PCT showcase:
+// The window needs several preemptions in the 3-thread advisory fanout -
+// beyond the affordable exhaustive DFS bound - so this is the PCT showcase:
 // a randomized priority-schedule search with a pinned, printed seed finds
 // it within a small schedule budget, and the recorded trace replays to the
 // byte-identical event log.
@@ -40,9 +42,9 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 TEST(RelockCheckSeededBug1, PctFindsSharedScratchAndReplays) {
-  // Seeds 1-5 find the race at schedules 1806 / 1694 / 339 / 2552 / 740
-  // (EXPERIMENTS.md); the points move with every change to the yield-point
-  // sequence, which the 5000-schedule budget absorbs.
+  // Seeds 1-5 find the race at the schedules EXPERIMENTS.md lists; the
+  // points move with every change to the yield-point sequence, which the
+  // 5000-schedule budget absorbs.
   const std::uint64_t seed = env_u64("RELOCK_CHECK_SEED", 1);
   const std::uint64_t budget = env_u64("RELOCK_CHECK_SCHEDULES", 5000);
   std::printf("[relock-check] RELOCK_CHECK_SEED=%llu (env-overridable)\n",
@@ -54,9 +56,9 @@ TEST(RelockCheckSeededBug1, PctFindsSharedScratchAndReplays) {
   const ExploreResult r = eng.explore(s, st);
 
   ASSERT_TRUE(r.failed)
-      << "seeded scratch race not detected within "
+      << "seeded selection race not detected within "
       << budget << " PCT schedules (seed " << seed << ")";
-  EXPECT_NE(r.failure.find("grant scratch shared"), std::string::npos)
+  EXPECT_NE(r.failure.find("release module shared"), std::string::npos)
       << r.summary();
   EXPECT_FALSE(r.trace.empty());
   std::printf("[relock-check] detected at schedule %llu\n%s\n",

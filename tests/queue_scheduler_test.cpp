@@ -74,7 +74,7 @@ TEST_F(QueueFacadeUnit, KindAndPolicy) {
   EXPECT_EQ(sched_.kind(), SchedulerKind::kQueue);
   EXPECT_EQ(sched_.successor_policy(), SuccessorPolicy::kStableHead);
   EXPECT_TRUE(sched_.empty());
-  EXPECT_EQ(sched_.size(), 0u);
+  EXPECT_EQ(sched_.select(kInvalidThread), nullptr);
   EXPECT_EQ(sched_.pop_any(), nullptr);
 }
 
@@ -85,15 +85,11 @@ TEST_F(QueueFacadeUnit, FifoSelectIgnoresPriorityAndHint) {
   sched_.enqueue(a);
   sched_.enqueue(b);
   sched_.enqueue(c);
-  EXPECT_EQ(sched_.size(), 3u);
-  GrantBatch<SimPlatform> batch;
-  sched_.select(batch, /*hint=*/3);  // hints do not reorder a FIFO
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front(), &a);
-  batch.clear();
-  sched_.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front(), &b);
+  EXPECT_EQ(sched_.select(/*hint=*/3), &a);  // hints do not reorder a FIFO
+  EXPECT_EQ(a.batch_next, nullptr);
+  EXPECT_EQ(sched_.select(kInvalidThread), &b);
+  EXPECT_EQ(b.batch_next, nullptr);
+  EXPECT_FALSE(sched_.empty());
   EXPECT_EQ(sched_.pop_any(), &c);
   EXPECT_TRUE(sched_.empty());
 }
@@ -110,7 +106,7 @@ TEST_F(QueueFacadeUnit, RemoveHeadMiddleTailAndReuse) {
   sched_.remove(b);  // middle
   sched_.remove(d);  // tail
   sched_.remove(a);  // head
-  EXPECT_EQ(sched_.size(), 1u);
+  EXPECT_FALSE(sched_.empty());
   EXPECT_EQ(sched_.pop_any(), &c);
   EXPECT_TRUE(sched_.empty());
   // Unlinked records are clean for re-enqueue (node reuse after timeout).

@@ -1,8 +1,9 @@
-// Asserts the release module is allocation-free in steady state: after a
-// short warm-up (lazy scratch growth, thread spawning), a measurement
-// window of contended lock/unlock cycles must execute ZERO heap
-// allocations. Global operator new/delete are replaced with counting
-// versions, which is why this suite lives in its own test binary.
+// Asserts the release module is allocation-free: after a short warm-up
+// (thread spawning, parker init), a measurement window of contended
+// lock/unlock cycles must execute ZERO heap allocations, and so must the
+// very first release that grants a large reader batch. Global operator
+// new/delete are replaced with counting versions, which is why this suite
+// lives in its own test binary.
 
 #include <gtest/gtest.h>
 
@@ -93,8 +94,7 @@ void run_zero_alloc_window(Lock& lock, native::Domain& dom,
     });
   }
 
-  // Warm-up: grow any lazily-sized scratch (GrantBatch spill capacity,
-  // parker init) before counting.
+  // Warm-up: let every worker spawn and initialize before counting.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const std::uint64_t before = g_allocations.load(std::memory_order_acquire);
   phase.store(1, std::memory_order_release);
@@ -124,6 +124,54 @@ TEST(ReleaseAllocation, CentralizedSteadyStateIsAllocationFree) {
   native::Domain dom(16);
   Lock lock(dom, {.scheduler = SchedulerKind::kNone});
   run_zero_alloc_window(lock, dom, LockAttributes::combined(200));
+}
+
+// One unlock grants a whole reader batch larger than any inline buffer:
+// the batch is chained through the records themselves, so even the first
+// such release - no warm-up - allocates nothing.
+TEST(ReleaseAllocation, ReaderBatchGrantIsAllocationFree) {
+  constexpr unsigned kReaders = 12;
+  native::Domain dom(32);
+  native::Context ctx(dom);
+  Lock lock(dom, {.scheduler = SchedulerKind::kReaderWriter,
+                  .attributes = LockAttributes::blocking()});
+  ASSERT_TRUE(lock.lock(ctx));  // the writer the readers queue behind
+
+  std::atomic<unsigned> granted{0};
+  std::atomic<bool> leave{false};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (unsigned i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&] {
+      native::Context rctx(dom);
+      ASSERT_TRUE(lock.lock_shared(rctx));
+      granted.fetch_add(1, std::memory_order_acq_rel);
+      while (!leave.load(std::memory_order_acquire)) std::this_thread::yield();
+      lock.unlock_shared(rctx);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (lock.waiter_count() < kReaders) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "readers never queued: " << lock.waiter_count();
+    std::this_thread::yield();
+  }
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_acquire);
+  lock.unlock(ctx);
+  while (granted.load(std::memory_order_acquire) < kReaders) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "only " << granted.load() << " readers granted";
+    std::this_thread::yield();
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_acquire);
+  leave.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(after - before, 0u)
+      << "heap allocations while one unlock granted " << kReaders
+      << " readers";
 }
 
 // Alternates two waiting policies so every tick carries a real

@@ -34,15 +34,23 @@ class SchedulerUnit : public ::testing::Test {
     return recs_.back();
   }
 
+  /// One select: the grantee and the rest of its batch, in grant order.
+  static std::vector<ThreadId> select_batch(Scheduler<SimPlatform>& s,
+                                            ThreadId hint = kInvalidThread) {
+    std::vector<ThreadId> batch;
+    for (Rec* r = s.select(hint); r != nullptr; r = r->batch_next) {
+      batch.push_back(r->tid);
+    }
+    return batch;
+  }
+
   static std::vector<ThreadId> select_all(Scheduler<SimPlatform>& s,
                                           ThreadId hint = kInvalidThread) {
     std::vector<ThreadId> order;
-    GrantBatch<SimPlatform> batch;
     while (!s.empty()) {
-      batch.clear();
-      s.select(batch, hint);
+      const std::vector<ThreadId> batch = select_batch(s, hint);
       if (batch.empty()) break;  // e.g. all below threshold
-      for (Rec* r : batch) order.push_back(r->tid);
+      order.insert(order.end(), batch.begin(), batch.end());
     }
     return order;
   }
@@ -61,12 +69,13 @@ TEST_F(SchedulerUnit, WaiterQueueFifoAndRemove) {
   q.push_back(a);
   q.push_back(b);
   q.push_back(c);
-  EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.front(), &a);
   q.remove(b);  // middle removal
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(b.queued);
+  EXPECT_EQ(a.next, &c);
+  EXPECT_EQ(c.prev, &a);
   q.remove(b);  // idempotent
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(a.next, &c);
   q.remove(a);  // head removal
   EXPECT_EQ(q.front(), &c);
   q.remove(c);  // tail removal
@@ -132,10 +141,11 @@ TEST_F(SchedulerUnit, ThresholdSelectsNobodyWhenAllIneligible) {
   s.set_threshold(10);
   s.enqueue(make(1, 3));
   s.enqueue(make(2, 7));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, kInvalidThread);
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(s.size(), 2u) << "ineligible waiters stay registered";
+  EXPECT_EQ(s.select(kInvalidThread), nullptr);
+  EXPECT_FALSE(s.empty()) << "ineligible waiters stay registered";
+  EXPECT_EQ(s.pop_any()->tid, 1u);
+  EXPECT_EQ(s.pop_any()->tid, 2u);
+  EXPECT_TRUE(s.empty());
 }
 
 TEST_F(SchedulerUnit, ThresholdFcfsAmongEligible) {
@@ -144,24 +154,21 @@ TEST_F(SchedulerUnit, ThresholdFcfsAmongEligible) {
   s.enqueue(make(1, 3));   // ineligible
   s.enqueue(make(2, 8));   // eligible, first
   s.enqueue(make(3, 20));  // eligible but later (no priority order!)
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front()->tid, 2u);
-  EXPECT_EQ(s.threshold(), 5);
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{2}));
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{3}));
+  EXPECT_EQ(s.select(kInvalidThread), nullptr) << "threshold 5 still holds";
+  EXPECT_EQ(s.pop_any()->tid, 1u);
+  EXPECT_TRUE(s.empty());
 }
 
 TEST_F(SchedulerUnit, ThresholdDropMakesWaitersEligible) {
   PriorityThresholdScheduler<SimPlatform> s;
   s.set_threshold(10);
   s.enqueue(make(1, 3));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, kInvalidThread);
-  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(s.select(kInvalidThread), nullptr);
   s.set_threshold(0);
-  s.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front()->tid, 1u);
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{1}));
+  EXPECT_TRUE(s.empty());
 }
 
 // ----------------------------------------------------------- Handoff -----
@@ -171,10 +178,7 @@ TEST_F(SchedulerUnit, HandoffHonorsHint) {
   s.enqueue(make(1));
   s.enqueue(make(2));
   s.enqueue(make(3));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, /*hint=*/3);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front()->tid, 3u);
+  EXPECT_EQ(select_batch(s, /*hint=*/3), (std::vector<ThreadId>{3}));
   EXPECT_EQ(select_all(s), (std::vector<ThreadId>{1, 2}));
 }
 
@@ -182,10 +186,7 @@ TEST_F(SchedulerUnit, HandoffFallsBackToFcfsOnMissingHint) {
   HandoffScheduler<SimPlatform> s;
   s.enqueue(make(1));
   s.enqueue(make(2));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, /*hint=*/77);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front()->tid, 1u);
+  EXPECT_EQ(select_batch(s, /*hint=*/77), (std::vector<ThreadId>{1}));
 }
 
 // ------------------------------------------------------ ReaderWriter -----
@@ -196,15 +197,11 @@ TEST_F(SchedulerUnit, RwFifoBatchesLeadingReaders) {
   s.enqueue(make(2, 0, /*shared=*/true));
   s.enqueue(make(3, 0, /*shared=*/false));
   s.enqueue(make(4, 0, /*shared=*/true));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 2u);  // readers 1 and 2 batch together
-  EXPECT_EQ(batch[0]->tid, 1u);
-  EXPECT_EQ(batch[1]->tid, 2u);
-  batch.clear();
-  s.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 1u);  // then the writer alone
-  EXPECT_EQ(batch.front()->tid, 3u);
+  // Readers 1 and 2 batch together, then the writer goes alone.
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{1, 2}));
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{3}));
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{4}));
+  EXPECT_TRUE(s.empty());
 }
 
 TEST_F(SchedulerUnit, RwReaderPrefTakesAllReaders) {
@@ -212,11 +209,9 @@ TEST_F(SchedulerUnit, RwReaderPrefTakesAllReaders) {
   s.enqueue(make(1, 0, true));
   s.enqueue(make(2, 0, false));
   s.enqueue(make(3, 0, true));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 2u);  // both readers, past the queued writer
-  EXPECT_EQ(batch[0]->tid, 1u);
-  EXPECT_EQ(batch[1]->tid, 3u);
+  // Both readers, past the queued writer.
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{1, 3}));
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{2}));
 }
 
 TEST_F(SchedulerUnit, RwWriterPrefTakesWriterFirst) {
@@ -224,10 +219,8 @@ TEST_F(SchedulerUnit, RwWriterPrefTakesWriterFirst) {
   s.enqueue(make(1, 0, true));
   s.enqueue(make(2, 0, true));
   s.enqueue(make(3, 0, false));
-  GrantBatch<SimPlatform> batch;
-  s.select(batch, kInvalidThread);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front()->tid, 3u);
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{3}));
+  EXPECT_EQ(select_batch(s), (std::vector<ThreadId>{1, 2}));
 }
 
 // ------------------------------------------------------------- EDF -------
@@ -241,6 +234,30 @@ TEST_F(SchedulerUnit, EdfSelectsEarliestDeadline) {
   EXPECT_EQ(s.kind(), SchedulerKind::kCustom);
 }
 
+// ------------------------------------------------ batch_next contract ---
+
+TEST_F(SchedulerUnit, ExclusiveSelectionsLeaveBatchNextNull) {
+  // Only a reader batch is chained: every exclusive kind (and a custom
+  // module built on QueuedScheduler) hands back a lone record, which the
+  // lock's grant loop treats as the whole batch.
+  std::vector<std::unique_ptr<Scheduler<SimPlatform>>> mods;
+  for (const SchedulerKind k :
+       {SchedulerKind::kFcfs, SchedulerKind::kPriorityQueue,
+        SchedulerKind::kPriorityThreshold, SchedulerKind::kHandoff}) {
+    mods.push_back(make_scheduler<SimPlatform>(k));
+  }
+  mods.push_back(std::make_unique<EdfScheduler<SimPlatform>>());
+  for (const auto& s : mods) {
+    for (ThreadId tid = 1; tid <= 3; ++tid) s->enqueue(make(tid, 5));
+    for (int i = 0; i < 3; ++i) {
+      Rec* const r = s->select(kInvalidThread);
+      ASSERT_NE(r, nullptr) << static_cast<int>(s->kind());
+      EXPECT_EQ(r->batch_next, nullptr) << static_cast<int>(s->kind());
+    }
+    EXPECT_TRUE(s->empty());
+  }
+}
+
 // --------------------------------------------------- factory / kinds -----
 
 TEST_F(SchedulerUnit, FactoryProducesMatchingKinds) {
@@ -252,7 +269,8 @@ TEST_F(SchedulerUnit, FactoryProducesMatchingKinds) {
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->kind(), k);
     EXPECT_TRUE(s->empty());
-    EXPECT_EQ(s->size(), 0u);
+    EXPECT_EQ(s->select(kInvalidThread), nullptr);
+    EXPECT_EQ(s->pop_any(), nullptr);
   }
   EXPECT_EQ(make_scheduler<SimPlatform>(SchedulerKind::kNone), nullptr);
 }
