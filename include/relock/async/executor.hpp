@@ -75,7 +75,7 @@ struct AsyncOp {
   Nanos timeout;           ///< 0 = untimed
   Nanos deadline = kForever;
   /// Where the record was published (set by AsyncGate::enqueue).
-  typename AsyncGate<P>::Publish via = AsyncGate<P>::Publish::kStack;
+  typename AsyncGate<P>::Publish via = AsyncGate<P>::Publish::kCell;
   /// Armed while a timed op waits; disarmed before its frame resumes.
   typename AsyncGate<P>::Breaker breaker;
   WaiterRecord<P> rec;

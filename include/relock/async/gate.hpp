@@ -45,8 +45,8 @@ struct AsyncGate {
 
   /// Contended arrival for a coroutine op: the lock's route, arrive and
   /// publish stages, minus the waiting engine. Coroutines never barge (no
-  /// thread runs the TTAS engine), so under kNone they ride the arrival
-  /// stack and the release module's orphan FIFO hands off directly - the
+  /// thread runs the TTAS engine), so under kNone they ride the lock's
+  /// cell and the release module's orphan FIFO hands off directly - the
   /// machinery that absorbs reconfigure-to-kNone races. Timed ops get the
   /// sync paths' deadline and breaker; a coroutine runs no Phi, so the
   /// lock's waiting attributes (and their timeout) do not apply.

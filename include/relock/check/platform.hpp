@@ -8,7 +8,7 @@
 // effect plus everything up to the next point forms one atomic step.
 //
 // kRealConcurrency is true: the checker's whole purpose is to explore the
-// contention machinery (lock-free arrival stack, quiescence epoch,
+// contention machinery (lock-free arrival cell, quiescence epoch,
 // next_grant_ cache, oversubscription escalation) that only compiles in on
 // real-concurrency platforms.
 //

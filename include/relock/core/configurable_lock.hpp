@@ -30,10 +30,12 @@
 // record reachable), wait (the waiting component Phi), and on timeout one
 // resolve_timeout. On real-concurrency platforms (kRealConcurrency) the
 // publish stage takes no meta guard for exclusive locks: the record is
-// pushed onto a lock-free MPSC arrival stack with a single exchange (or
-// tail-swapped into the kQueue cell), and the release module - already
-// serialized by meta - drains the stack before selecting a grant, so
-// registration stays "the cost of one write operation" under contention.
+// tail-swapped into the lock-resident WaitQueueCell with a single exchange,
+// and the release module - already serialized by meta or by module
+// ownership - moves cell records into the module new arrivals register
+// under before selecting a grant (the distributed queue serves the cell
+// itself), so registration stays "the cost of one write operation" under
+// contention.
 // Reader-writer locks, and every kind on simulated platforms (whose word
 // accesses carry calibrated costs), publish under meta instead, which keeps
 // the reproduction tables byte-stable.
@@ -64,8 +66,8 @@
 // (exclusive, passive, non-recursive, non-advisory) acquire is one
 // test-and-set and release is one CAS of held->free that bypasses the
 // release module entirely. Any waiter that registers state the release
-// module must observe sets the contended bit first (arrival stack:
-// mark-after-push; centralized sleepers: mark under meta), which makes the
+// module must observe sets the contended bit first (cell: mark-after-
+// push; centralized sleepers: mark under meta), which makes the
 // release CAS fail and routes the owner through the full path. The bit is
 // sticky across handoff chains and cleared only by the guarded path's
 // free-publish, which is exactly the point where no waiter remains - so
@@ -81,7 +83,6 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "relock/core/attributes.hpp"
@@ -109,17 +110,6 @@ class ConfigurableLock {
   /// protocols on behalf of suspended coroutines; it needs the same access
   /// a member acquire path has.
   friend struct AsyncGate<P>;
-
-  /// Stand-in for the arrivals word on platforms that keep the meta-guarded
-  /// arrival path: allocating a real platform word there would shift the
-  /// simulator's round-robin cell placement for every later allocation and
-  /// perturb the calibrated tables.
-  struct NoArrivalsWord {
-    explicit NoArrivalsWord(typename P::Domain&, std::uint64_t = 0,
-                            Placement = Placement::any()) {}
-  };
-  using ArrivalsWord = std::conditional_t<kRealConcurrency<P>,
-                                          typename P::Word, NoArrivalsWord>;
 
   /// The one attribute snapshot type: the lock-wide waiting policy and
   /// every per-thread override are each one seqlock-validated slot, read
@@ -199,7 +189,6 @@ class ConfigurableLock {
         registry_(domain, 0, opts.placement),
         possess_word_(domain, 0, opts.placement),
         mailbox_(domain, 0, opts.placement),
-        arrivals_(domain, 0, opts.placement),
         scheduler_kind_(opts.scheduler) {
     // Assigned in the body, not the init list: the kQueue module is a
     // façade over queue_cell_, a member declared further down.
@@ -286,25 +275,19 @@ class ConfigurableLock {
         // of held->free is the whole release. The CAS (not a plain store)
         // is what makes this sound: a waiter's mark landing first makes it
         // fail, and we fall through to the full paths below. A
-        // fast-eligible lock is passive by definition, so the serving_
-        // probe below is skipped knowingly.
+        // fast-eligible lock is passive by definition, so the manager
+        // handoff below is skipped knowingly.
         chk_point<P>(ctx, "fu.cas");
         if (P::cas(ctx, state_, kStateHeld, 0)) {
           note(ctx, LockEvent::kReleaseFree);
           return;
         }
       }
-      if (opts_.execution == Execution::kActive && serving_.load()) {
-        post_release(ctx, hint, /*shared=*/false);
-        return;
-      }
+      if (try_post_release(ctx, hint, /*shared=*/false)) return;
       if (release_fast(ctx, hint)) return;
     } else {
       monitor_.on_release(P::now(ctx) - acquire_time_);
-      if (opts_.execution == Execution::kActive && serving_.load()) {
-        post_release(ctx, hint, /*shared=*/false);
-        return;
-      }
+      if (try_post_release(ctx, hint, /*shared=*/false)) return;
     }
     release(ctx, hint, /*shared=*/false);
   }
@@ -314,10 +297,7 @@ class ConfigurableLock {
       misuse("unlock_shared on a lock without a reader-writer scheduler");
     }
     note_trace(ctx, LockEvent::kRelease, ctx.self());
-    if (opts_.execution == Execution::kActive && serving_.load()) {
-      post_release(ctx, kInvalidThread, /*shared=*/true);
-      return;
-    }
+    if (try_post_release(ctx, kInvalidThread, /*shared=*/true)) return;
     release(ctx, kInvalidThread, /*shared=*/true);
   }
 
@@ -531,17 +511,23 @@ class ConfigurableLock {
   // =================================================================
 
   /// Manager loop. Spawn a thread bound to the lock and call serve() from
-  /// it; returns after stop_serving(). While serving, unlock() merely posts
-  /// a release request and wakes the manager.
+  /// it; returns after stop_serving() (at once if the stop came first).
+  /// While serving, unlock() merely posts a release request and wakes the
+  /// manager.
   void serve(Ctx& ctx) {
     manager_tid_.store(ctx.self(), std::memory_order_relaxed);
-    stop_.store(false, std::memory_order_relaxed);
     serving_.store(true);
     for (;;) {
       if (stop_.load()) {
         // Stop accepting new posts first, then serve the stragglers:
-        // releases arriving after this point run inline (passive path).
+        // releases arriving after this point run inline (passive path). A
+        // releaser that read serving_ true before the store is still
+        // posting; wait it out so the load below sees its post.
+        chk_point<P>(ctx, "mgr.stop");
         serving_.store(false);
+        for (std::uint32_t streak = 0; posting_.load() != 0;) {
+          spin_step<P>(ctx, streak);
+        }
         const std::uint64_t last = P::load(ctx, mailbox_);
         P::store(ctx, mailbox_, 0);
         if (last != 0 && last != kMailboxShared) {
@@ -571,7 +557,7 @@ class ConfigurableLock {
         P::block(ctx);
       }
     }
-    serving_.store(false);
+    stop_.store(false, std::memory_order_relaxed);
   }
 
   void stop_serving(Ctx& ctx) {
@@ -650,8 +636,7 @@ class ConfigurableLock {
   enum class Publish : std::uint8_t {
     kEntered,  ///< nothing to publish: route() entered the lock under meta
     kBarge,    ///< nothing to publish: centralized barging (kNone)
-    kStack,    ///< lock-free arrival-stack push (kRealConcurrency)
-    kCell,     ///< MCS tail swap into the kQueue cell (kRealConcurrency)
+    kCell,     ///< MCS tail swap into the lock's cell (kRealConcurrency)
     kMeta,     ///< module enqueue under the meta guard (sim; reader-writer)
   };
 
@@ -895,8 +880,8 @@ class ConfigurableLock {
   // ------------------------------------------------ state-word layout ----
   // bit 0: the busy indicator, exactly as the paper has it.
   // bit 1 (kRealConcurrency only): "full mode". Set by any waiter that
-  // registers state only the release module can serve (an arrival-stack
-  // record, a centralized sleeper) and by guarded re-grabs of a free word
+  // registers state only the release module can serve (a cell record, a
+  // centralized sleeper) and by guarded re-grabs of a free word
   // with such state outstanding; cleared only by the guarded free-publish
   // in grant_or_free, which runs exactly when no such state remains. While
   // clear, a fast-eligible owner's release is a single held->free CAS.
@@ -1011,23 +996,23 @@ class ConfigurableLock {
   /// one write operation" (paper section 3.2) - and the acquisition
   /// module's read of the waiting-policy word (the 1R configure pairs
   /// with), then the publish policy for this arrival. Exclusive arrivals
-  /// on real platforms choose by the advisory target kind, without meta: a
-  /// racing reconfiguration is absorbed by the release module (drained
-  /// records whose scheduler vanished park on the orphan queue; cell
-  /// strays are swept). Everything else takes meta and retries entry under
-  /// it - the lock may have been freed meanwhile, and the RMW keeps the
-  /// retry correct against fast-path acquirers that never take meta - and
-  /// returns kMeta with meta still held for publish(). `barge_ok` is false
-  /// for waiters that cannot run the barging engine (coroutines), which
-  /// ride the arrival stack under kNone instead.
+  /// on real platforms publish into the cell without meta, except barging
+  /// threads under kNone (read from the advisory target kind): a racing
+  /// reconfiguration is absorbed by the release module's cell drain, which
+  /// registers each record with whatever module is the arrival target by
+  /// then (the orphan queue when there is none). Everything else takes
+  /// meta and retries entry under it - the lock may have been freed
+  /// meanwhile, and the RMW keeps the retry correct against fast-path
+  /// acquirers that never take meta - and returns kMeta with meta still
+  /// held for publish(). `barge_ok` is false for waiters that cannot run
+  /// the barging engine (coroutines), which ride the cell under kNone.
   Publish route(Ctx& ctx, bool shared, Nanos t0, bool barge_ok) {
     P::store(ctx, registry_, static_cast<std::uint64_t>(ctx.self()) + 1);
     (void)P::load(ctx, config_word_);
     if (kRealConcurrency<P> && !rw_capable()) {
-      const SchedulerKind kind = arrival_target_kind();
-      if (kind == SchedulerKind::kQueue) return Publish::kCell;
-      return kind == SchedulerKind::kNone && barge_ok ? Publish::kBarge
-                                                      : Publish::kStack;
+      return barge_ok && arrival_target_kind() == SchedulerKind::kNone
+                 ? Publish::kBarge
+                 : Publish::kCell;
     }
     meta_lock(ctx);
     if (enter_locked(ctx, shared, t0)) return Publish::kEntered;
@@ -1073,14 +1058,12 @@ class ConfigurableLock {
                BreakerToken& breaker) {
     if (timeout == 0) return kForever;
     const Nanos deadline = (anchor != 0 ? anchor : P::now(ctx)) + timeout;
-    if (via == Publish::kStack || via == Publish::kCell) {
-      breaker.arm(ctx, *this);
-    }
+    if (via == Publish::kCell) breaker.arm(ctx, *this);
     return deadline;
   }
 
   /// Publish: makes `rec` reachable by the release module under policy
-  /// `via` (kMeta, kStack or kCell) and counts it as a waiter.
+  /// `via` (kMeta or kCell) and counts it as a waiter.
   void publish(Ctx& ctx, WaiterRecord<P>& rec, Publish via) {
     if (via == Publish::kMeta) {
       // Meta held since route(): register with the module directly.
@@ -1090,54 +1073,36 @@ class ConfigurableLock {
       meta_unlock(ctx);
       return;
     }
-    if (via == Publish::kCell) {
-      // MCS enqueue (WaitQueueCell::push): no drain into a module queue
-      // ever happens, and wait_queued polls the record-local grant flag -
-      // the waiting is "distributed" in the paper's Fig. 9 sense whatever
-      // Phi is. The push's tail exchange fixes the registration order and
-      // follows this point with no scheduling point in between, so the
-      // event reports it in the same checker step, before the link window
-      // opens.
-      chk_point<P>(ctx, "qa.swap");
-      note(ctx, LockEvent::kRegistered, rec.tid);
-      queue_cell_.push(&ctx, rec);
-    } else if constexpr (kRealConcurrency<P>) {
-      // Arrival-stack push: mark the link in flight, swing the head, then
-      // publish the old head as our link. A drain observing
-      // kArrivalLinkPending spins the two-instruction gap. Registration
-      // order is fixed by the exchange: report it to the checker in the
-      // same atomic step, before the link-pending window opens.
-      rec.arrival_next.store(kArrivalLinkPending, std::memory_order_relaxed);
-      const std::uint64_t prev = P::exchange(
-          ctx, arrivals_,
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&rec)));
-      note(ctx, LockEvent::kRegistered, rec.tid);
-      chk_point<P>(ctx, "arr.link");
-      rec.arrival_next.store(static_cast<std::uintptr_t>(prev),
-                             std::memory_order_release);
-    }
+    // MCS enqueue (WaitQueueCell::push). wait_queued polls the record-local
+    // grant flag wherever the release module moves the record, so the
+    // waiting is "distributed" in the paper's Fig. 9 sense whatever Phi is.
+    // The push's tail exchange fixes the registration order and follows
+    // this point with no scheduling point in between, so the event reports
+    // it in the same checker step, before the link window opens.
+    chk_point<P>(ctx, "qa.swap");
+    note(ctx, LockEvent::kRegistered, rec.tid);
+    queue_cell_.push(&ctx, rec);
     waiter_count_.fetch_add(1, std::memory_order_relaxed);
 
     // Full-mode mark + lost-release guard. The contended-bit fetch_or does
     // two jobs. (a) It disables the owner's single-CAS fast unlock while
-    // our record sits on the arrival stack, the cell or a scheduler queue -
-    // a fast unlock neither drains arrivals nor runs the release module, so
-    // without the mark a fast unlock/lock pair could strand us. Ordering
-    // matters: mark AFTER publishing, or a racing guarded free-publish
-    // (which stores 0) could erase a mark made before our record was
-    // visible. (b) It doubles as the lost-release Dekker re-check: a
-    // releaser that drained before our publication may have published the
-    // lock free and left, but the publication was a full-fence RMW and
-    // the releaser re-examines the stack and the cell behind an RMW after
-    // publishing free, so at least one side observes the other - if we see
-    // the free state, we close the gate and run the release module
-    // ourselves. A coroutine record may be granted - and its frame resumed
-    // - from inside this call.
+    // our record sits in the cell or a scheduler queue - a fast unlock
+    // neither drains the cell nor runs the release module, so without the
+    // mark a fast unlock/lock pair could strand us. Ordering matters: mark
+    // AFTER publishing, or a racing guarded free-publish (which stores 0)
+    // could erase a mark made before our record was visible. (b) It
+    // doubles as the lost-release Dekker re-check: a releaser that drained
+    // before our publication may have published the lock free and left,
+    // but the tail exchange was a seq_cst RMW and the releaser re-examines
+    // the tail with one after publishing free, so at least one side
+    // observes the other - if we see the free state, we close the gate and
+    // run the release module ourselves. A coroutine record may be granted
+    // - and its frame resumed - from inside this call.
     chk_point<P>(ctx, "arr.mark");
     if (claimed(P::fetch_or(ctx, state_, kStateContended)) &&
         claimed(P::fetch_or(ctx, state_, kStateHeld))) {
       meta_lock(ctx);
-      grant_or_free(ctx, kInvalidThread);  // drains arrivals, may grant us
+      grant_or_free(ctx, kInvalidThread);  // drains the cell, may grant us
     }
   }
 
@@ -1146,18 +1111,17 @@ class ConfigurableLock {
   /// (the timeout wins), false when a grant beat the withdrawal; the
   /// caller then consumes the grant as usual. Under meta it first waits
   /// out any fast release that began before the breaker armed (it may have
-  /// drained, granted, or cached the record) and drains the arrival stack
-  /// so a pushed record is registered, then re-checks both grant flags -
-  /// the fast path never sets the host-side one - and unlinks the record
-  /// from wherever it lives now: the next-grant cache, the module that
-  /// enqueued it, the cell, or the orphan queue (MCS-with-timeout
-  /// self-removal). A fast grant publishes the flag before retiring from
-  /// the in-flight epoch, so the re-check observes every such grant even
-  /// when a coroutine's delivery hook is still in flight.
+  /// drained, granted, or cached the record), then re-checks both grant
+  /// flags - the fast path never sets the host-side one - and unlinks the
+  /// record from wherever it lives now: the next-grant cache, the module
+  /// that enqueued it, the cell (MCS-with-timeout self-removal, also for a
+  /// record no release drained yet), or the orphan queue. A fast grant
+  /// publishes the flag before retiring from the in-flight epoch, so the
+  /// re-check observes every such grant even when a coroutine's delivery
+  /// hook is still in flight.
   bool resolve_timeout(Ctx& ctx, WaiterRecord<P>& rec, Publish via) {
     meta_lock(ctx);
     wait_fast_releases(ctx);
-    if (via == Publish::kStack) drain_arrivals(ctx);
     // Meta-published records are granted only under meta, which sets the
     // host flag; skipping their costed flag read keeps the simulator's
     // access sequence.
@@ -1173,51 +1137,20 @@ class ConfigurableLock {
       withdraw(ctx, rec);
     }
     note(ctx, LockEvent::kTimeoutReturn, rec.tid);
-    meta_unlock(ctx);
+    // A withdrawal that empties the outgoing module ends the configuration
+    // delay. The lock may be free - that module held only ineligible
+    // waiters - so no release would install the incoming module and serve
+    // its waiters: claim the word and run the release module here, as
+    // set_priority_threshold does.
+    if (has_pending_.load(std::memory_order_relaxed) && scheduler_->empty() &&
+        claimed(P::fetch_or(ctx, state_, kClaimMark))) {
+      grant_or_free(ctx, kInvalidThread);  // releases meta
+    } else {
+      meta_unlock(ctx);
+    }
     waiter_count_.fetch_sub(1, std::memory_order_relaxed);
     monitor_.on_timeout();
     return true;
-  }
-
-  /// Meta held. Moves every record on the lock-free arrival stack into the
-  /// module new arrivals register under (pending during a configuration
-  /// delay, else current), preserving arrival order; with no module
-  /// (reconfigured to kNone after the push) records park on the orphan
-  /// queue, which the release module serves FIFO before consulting any
-  /// scheduler. A no-op on simulated platforms, which have no stack.
-  void drain_arrivals(Ctx& ctx) {
-    std::uintptr_t head = 0;
-    if constexpr (kRealConcurrency<P>) {
-      head = static_cast<std::uintptr_t>(P::exchange(ctx, arrivals_, 0));
-    }
-    if (head == 0) return;
-    // The stack is LIFO; reverse in place (reusing arrival_next) so
-    // registration happens in arrival order.
-    WaiterRecord<P>* reversed = nullptr;
-    auto* rec = reinterpret_cast<WaiterRecord<P>*>(head);
-    while (rec != nullptr) {
-      std::uintptr_t next =
-          rec->arrival_next.load(std::memory_order_acquire);
-      std::uint32_t spins = 0;
-      while (next == kArrivalLinkPending) {
-        // Producer is between its exchange and its link store; on an
-        // oversubscribed processor it may even be preempted there.
-        if (++spins > kSpinsBeforeYield) P::yield(ctx); else P::pause(ctx);
-        next = rec->arrival_next.load(std::memory_order_acquire);
-      }
-      rec->arrival_next.store(reinterpret_cast<std::uintptr_t>(reversed),
-                              std::memory_order_relaxed);
-      reversed = rec;
-      rec = reinterpret_cast<WaiterRecord<P>*>(next);
-    }
-    Scheduler<P>* const target = arrival_target();
-    for (WaiterRecord<P>* w = reversed; w != nullptr;) {
-      auto* next = reinterpret_cast<WaiterRecord<P>*>(
-          w->arrival_next.load(std::memory_order_relaxed));
-      w->arrival_next.store(0, std::memory_order_relaxed);
-      adopt(ctx, *w, target);
-      w = next;
-    }
   }
 
   /// Meta held, or the release module's owner re-queueing its own
@@ -1255,21 +1188,20 @@ class ConfigurableLock {
     return m != nullptr && m->kind() == SchedulerKind::kQueue;
   }
 
-  /// Meta held. A thread that read kQueue as its arrival target races
-  /// configure_scheduler: its tail-swap can land after the configuration
-  /// moved on, leaving records in the cell with no distributed-queue
-  /// module current or pending to serve them (a replaced pending kQueue
-  /// module leaves its waiters there too). Mirror of the orphan-absorption
-  /// rule for the arrival stack: migrate such strays into the module new
-  /// arrivals register under (or the orphan queue). Must be - and is - a
-  /// no-op while either module serves the cell; popping then would steal
-  /// linked waiters out of FIFO order.
-  void drain_queue_strays(Ctx& ctx) {
-    if (queue_cell_.empty() || serves_cell(scheduler_.get()) ||
-        serves_cell(arrival_target())) {
-      return;
-    }
+  /// Meta held, or the release module's owner in a fast release. The one
+  /// drain of the lock-free arrival channel: moves the cell's records, in
+  /// arrival order, into the module new arrivals register under (pending
+  /// during a configuration delay, else current). With no module - kNone
+  /// coroutine waiters, or an arrival that raced a reconfiguration to
+  /// kNone - records park on the orphan queue, which the release module
+  /// serves FIFO before consulting any scheduler. A no-op while that module
+  /// is the distributed queue, which consumes the cell itself: popping then
+  /// would steal its linked waiters out of FIFO order. (A current kQueue
+  /// module is never outgoing to another kind - install_scheduler hands
+  /// its waiters to a FIFO stand-in - so it is the target too.)
+  void drain_cell(Ctx& ctx) {
     Scheduler<P>* const target = arrival_target();
+    if (queue_cell_.empty() || serves_cell(target)) return;
     while (WaiterRecord<P>* w = queue_cell_.pop(&ctx)) adopt(ctx, *w, target);
   }
 
@@ -1635,17 +1567,7 @@ class ConfigurableLock {
       return release_fast_abort(ctx, /*began=*/true);
     }
     Scheduler<P>& sched = *sched_ptr;
-    if (serves_cell(&sched)) {
-      // Distributed queue: the cell is the registration structure, and the
-      // arrival stack is only a reconfiguration straggler channel. A
-      // nonzero stack means a record was pushed against a prior
-      // configuration and not yet drained - the guarded path's job.
-      if (P::load(ctx, arrivals_) != 0) {
-        return release_fast_abort(ctx, /*began=*/true);
-      }
-    } else {
-      drain_arrivals(ctx);
-    }
+    drain_cell(ctx);
     chk_point<P>(ctx, "fr.cache");
     WaiterRecord<P>* succ = next_grant_.load(std::memory_order_relaxed);
     if (succ != nullptr && !next_grant_valid(*succ, policy, sched, hint)) {
@@ -1734,7 +1656,7 @@ class ConfigurableLock {
     grant_or_free(ctx, hint);  // releases meta
   }
 
-  /// Runs the release module: drains lock-free arrivals, installs a pending
+  /// Runs the release module: drains the cell, installs a pending
   /// scheduler if the old one has drained, selects the next grantee (a
   /// writer, or a reader batch), and either hands the lock off or publishes
   /// it as free. Expects meta held; releases it.
@@ -1778,8 +1700,7 @@ class ConfigurableLock {
     chk_point<P>(ctx, "gf.reclaim");
     reclaim_next_grant(ctx);
     for (;;) {
-      drain_arrivals(ctx);
-      drain_queue_strays(ctx);
+      drain_cell(ctx);
       if (scheduler_ != nullptr && scheduler_->empty() &&
           has_pending_.load(std::memory_order_relaxed)) {
         install_pending(ctx);
@@ -1805,20 +1726,26 @@ class ConfigurableLock {
         });
         if constexpr (kRealConcurrency<P>) {
           // Mirror of the arrival path's lost-release guard: re-examine the
-          // arrival stack with an RMW after publishing free. A waiter whose
-          // push raced our drain either sees the free state itself or is
-          // seen here; if seen, re-close the gate and serve it. The re-grab
-          // carries the contended bit (kClaimMark): the free-publish above
-          // erased the raced waiter's mark, so if a fast-path acquirer
-          // steals the word between our store and this RMW, the bit we set
-          // here is what routes the thief's release through the full path
-          // to drain that waiter - without it a single-CAS fast unlock
-          // would strand the record on the stack. The distributed queue
-          // cell is re-examined the same way; its load is ordered after
-          // the free-publish by the arrivals RMW's full fence, which is
-          // why it sits second in the short-circuit.
-          if ((P::fetch_add(ctx, arrivals_, 0) != 0 ||
-               queue_cell_.tail.load(std::memory_order_seq_cst) != nullptr) &&
+          // cell's tail with a seq_cst RMW after publishing free. A waiter
+          // whose tail-swap raced our drain either sees the free state
+          // itself or is seen here (both RMWs sit in the tail's
+          // modification order); if seen, re-close the gate and serve it.
+          // The re-grab carries the contended bit (kClaimMark): the
+          // free-publish above erased the raced waiter's mark, so if a
+          // fast-path acquirer steals the word between our store and this
+          // RMW, the bit we set here is what routes the thief's release
+          // through the full path to drain that waiter - without it a
+          // single-CAS fast unlock would strand the record in the cell.
+          // During a delay into the distributed queue the cell's records
+          // wait for the outgoing module, whose waiters the select above
+          // found all ineligible: a re-grab would only loop here with meta
+          // held (resolve_timeout and set_priority_threshold restart the
+          // release module when that changes).
+          chk_point<P>(ctx, "gf.recheck");
+          if (queue_cell_.tail.fetch_add(0, std::memory_order_seq_cst) !=
+                  nullptr &&
+              !(serves_cell(arrival_target()) &&
+                !serves_cell(scheduler_.get())) &&
               claimed(P::fetch_or(ctx, state_, kClaimMark))) {
             hint = kInvalidThread;
             continue;
@@ -1922,18 +1849,31 @@ class ConfigurableLock {
     P::store(ctx, sched_flag_, 1);                      // W4: delay flag on
     meta_lock(ctx);
     reclaim_next_grant(ctx);
-    // In-flight lock-free arrivals registered before this configuration:
-    // drain them now so they land in the outgoing module and are served
-    // under the configuration-delay rule, like meta-published arrivals.
-    drain_arrivals(ctx);
+    // Lock-free arrivals published before this configuration: drain them
+    // now so they land in the outgoing module and are served under the
+    // configuration-delay rule, like meta-published arrivals.
+    drain_cell(ctx);
+    if (serves_cell(scheduler_.get()) && !serves_cell(fresh.get())) {
+      // The cell is about to become the incoming kind's arrival channel:
+      // move the distributed queue's pre-registered waiters, in order, into
+      // a FIFO module that serves as the outgoing one, so they are still
+      // granted before anyone who arrives during the delay. Done even for
+      // an empty cell: a tail-swap racing the emptiness check below must
+      // not find the outgoing module serving the incoming kind's channel.
+      auto outgoing = std::make_unique<FcfsScheduler<P>>();
+      while (WaiterRecord<P>* w = queue_cell_.pop(&ctx)) {
+        adopt(ctx, *w, outgoing.get());
+      }
+      scheduler_ = std::move(outgoing);
+    }
     if (pending_scheduler_ != nullptr &&
         !serves_cell(pending_scheduler_.get())) {
       // Stacked reconfiguration: a previous pending module was never
       // installed. Migrate its registered waiters (to the incoming module,
       // or the orphan queue when switching to kNone) instead of destroying
       // them with it. A replaced distributed-queue module holds none: its
-      // waiters stay in the lock-resident cell, where the stray sweep
-      // below serves them.
+      // waiters stay in the lock-resident cell, and the next release's
+      // drain moves them, in order, to whatever module is the target then.
       while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
         adopt(ctx, *w, fresh.get());
       }
@@ -1944,11 +1884,6 @@ class ConfigurableLock {
     }
     pending_kind_.store(kind, std::memory_order_relaxed);
     has_pending_.store(true, std::memory_order_relaxed);
-    // Now that the pending kinds are final, sweep cell records no module
-    // serves any more (a replaced pending kQueue module's waiters, late
-    // tail-swaps) into whatever module new arrivals register under. No-op
-    // while a distributed queue is still current or incoming.
-    drain_queue_strays(ctx);
     // New registrations target the incoming module from here on: a new
     // configuration generation for the fairness oracles.
     note(ctx, LockEvent::kSchedulerInstalled);
@@ -2132,6 +2067,22 @@ class ConfigurableLock {
                : static_cast<ThreadId>(v - kMailboxExclusive - 1);
   }
 
+  /// Active locks: hands the release to the manager, or returns false - the
+  /// caller runs it inline - when none is serving. The releaser announces
+  /// itself on posting_ before it reads serving_, and a stopping manager
+  /// clears serving_ before it waits posting_ out (a Dekker handshake, both
+  /// sides seq_cst), so every post lands before the manager's last mailbox
+  /// load or is not made at all.
+  bool try_post_release(Ctx& ctx, ThreadId hint, bool shared) {
+    if (opts_.execution != Execution::kActive) return false;
+    chk_point<P>(ctx, "ap.announce");
+    posting_.fetch_add(1);
+    const bool serving = serving_.load();
+    if (serving) post_release(ctx, hint, shared);
+    posting_.fetch_sub(1);
+    return serving;
+  }
+
   void post_release(Ctx& ctx, ThreadId hint, bool shared) {
     if (!shared) {
       P::store(ctx, mailbox_, encode_mailbox_hint(hint));
@@ -2214,10 +2165,6 @@ class ConfigurableLock {
   typename P::Word registry_;     ///< last registrant tid+1
   typename P::Word possess_word_; ///< attribute possession bits
   typename P::Word mailbox_;      ///< active-lock doorbell
-  /// Head of the lock-free MPSC arrival stack (WaiterRecord*, 0 = empty).
-  /// A real platform word only on kRealConcurrency platforms; elsewhere an
-  /// empty stand-in (see NoArrivalsWord).
-  ArrivalsWord arrivals_;
 
   /// Lock-wide waiting-policy attributes (semantic values, host side).
   AttrSlot attrs_;
@@ -2232,11 +2179,12 @@ class ConfigurableLock {
   /// Advisory mirror of the last set_priority_threshold value (see
   /// priority_threshold()).
   std::atomic<Priority> threshold_mirror_{kDefaultPriority};
-  /// Shared half of the distributed (kQueue) waiter queue. Lock-resident -
-  /// not module-resident - so lock-free arrivals can tail-swap into stable
-  /// storage no matter how many times configuration flips kQueue on and
-  /// off; every kQueue façade installed on this lock serves this one cell.
-  /// Host atomics, so the simulator's word placement is untouched.
+  /// The lock-free arrival channel (kRealConcurrency: every queued kind's
+  /// arrivals tail-swap in here) and the shared half of the distributed
+  /// (kQueue) waiter queue. Lock-resident - not module-resident - so
+  /// arrivals swap into stable storage no matter how configuration
+  /// changes; every kQueue façade installed on this lock serves this one
+  /// cell. Host atomics, so the simulator's word placement is untouched.
   WaitQueueCell<P> queue_cell_;
 
   // Holder state (guarded by meta on slow paths; fast path uses state_).
@@ -2275,6 +2223,7 @@ class ConfigurableLock {
   std::atomic<ThreadId> manager_tid_{kInvalidThread};
   std::atomic<bool> serving_{false};
   std::atomic<bool> stop_{false};
+  std::atomic<std::uint32_t> posting_{0};  ///< releasers inside a post
 
   std::atomic<std::uint32_t> waiter_count_{0};
   LockMonitor monitor_;

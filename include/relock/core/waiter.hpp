@@ -1,7 +1,7 @@
 // WaiterRecord: the per-acquisition registration record (paper section 3.2:
 // "a requesting thread registers itself with the lock object"). Lives on the
-// waiting thread's stack; linked into the lock scheduler's queue under the
-// lock's meta guard.
+// waiting thread's stack; published into the lock's WaitQueueCell (lock-
+// free) or a scheduler module's queue (under the lock's meta guard).
 #pragma once
 
 #include <atomic>
@@ -16,11 +16,6 @@ namespace relock {
 
 template <Platform P>
 class Scheduler;
-
-/// Sentinel for WaiterRecord::arrival_next: the push's link store is still
-/// in flight (the drain spins the microscopic gap between the producer's
-/// exchange and its link write). 0 terminates the chain.
-inline constexpr std::uintptr_t kArrivalLinkPending = 1;
 
 template <Platform P>
 struct WaiterRecord {
@@ -75,16 +70,11 @@ struct WaiterRecord {
   /// every module swap, so a cell record belongs to no module).
   Scheduler<P>* registered_with = nullptr;
 
-  /// Lock-free arrival chain link (kRealConcurrency platforms): holds the
-  /// previous arrival-stack head as a uintptr, kArrivalLinkPending until
-  /// the producer's post-exchange store lands, 0 at the end of the chain.
-  std::atomic<std::uintptr_t> arrival_next{0};
-
-  /// Inline queue node for the distributed (SchedulerKind::kQueue) FIFO:
-  /// the MCS-style successor link, written once by the *next* arrival after
-  /// its tail-swap. nullptr means "no successor visible yet" — whether the
-  /// record is last is decided by comparing against the cell's tail, so no
-  /// pending sentinel is needed.
+  /// Inline node for the lock's WaitQueueCell: the MCS-style successor
+  /// link, written once by the *next* arrival after its tail-swap. nullptr
+  /// means "no successor visible yet" — whether the record is last is
+  /// decided by comparing against the cell's tail, so no pending sentinel
+  /// is needed.
   std::atomic<WaiterRecord*> qnext{nullptr};
 
   // Intrusive doubly-linked queue node, guarded by the lock's meta word.
@@ -101,15 +91,18 @@ struct WaiterRecord {
 /// thread spins only on its record-local grant flag, never on these words.
 /// This struct holds the queue's only implementation: the lock, its
 /// DistributedQueueScheduler façade, the simulator and relock-check all run
-/// the operations below.
+/// the operations below. On real-concurrency platforms the lock's cell is
+/// also every queued kind's lock-free arrival channel: the release module
+/// pops records out of it into whichever module is not the distributed
+/// queue.
 ///
 /// The cell deliberately uses host std::atomics, not platform Words: queue
 /// maintenance is consumer-side bookkeeping serialized by the lock's grant
 /// protocol (meta guard or quiescence epoch), and keeping it off the
 /// platform word set leaves the simulator's timing/placement model - and
-/// its calibrated tables - untouched. seq_cst on tail mirrors the arrival
-/// stack's Dekker: the producer's tail-swap and the releaser's emptiness
-/// re-check must not both miss each other.
+/// its calibrated tables - untouched. seq_cst on tail carries the lock's
+/// lost-release Dekker: the producer's tail-swap and the releaser's
+/// free-publish re-check (an RMW on tail) must not both miss each other.
 ///
 /// Concurrency contract: any thread may push (exchange tail, then link via
 /// the predecessor's qnext or `first` when the queue was empty); at most

@@ -30,7 +30,7 @@ namespace relock {
 /// interleaving being explored (checker) or recorded (tracer).
 enum class LockEvent : std::uint8_t {
   // ---- checker oracle vocabulary (relock-check engine state machine) ----
-  kRegistered,         ///< waiter published on the arrival stack / a queue
+  kRegistered,         ///< waiter published in the lock's cell / a queue
   kGranted,            ///< grant flag set for thread `arg`
   kReleaseFree,        ///< release published the state word free
   kFastReleaseBegin,   ///< fast release passed the Dekker gate

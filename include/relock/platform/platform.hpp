@@ -62,7 +62,7 @@ concept Platform = requires(typename P::Context& ctx,
 /// True for platforms whose threads run with real hardware concurrency and
 /// whose word operations are *not* part of a calibrated cost model (today:
 /// the native platform). Lock algorithms use this to enable contention
-/// optimisations — the lock-free arrival stack, meta-guard backoff, and
+/// optimisations — the lock-free arrival cell, meta-guard backoff, and
 /// yield-escalating spin waits — that would otherwise perturb the
 /// simulator's calibrated access counts (EXPERIMENTS.md Tables 2-5 must
 /// stay byte-identical) or fight a cooperative scheduler.

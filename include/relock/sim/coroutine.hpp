@@ -13,6 +13,20 @@
 #include <ucontext.h>
 #endif
 
+// ThreadSanitizer builds annotate every context switch as a fiber switch:
+// TSan tracks one shadow stack and one happens-before clock per thread, and
+// an unannotated stack swap corrupts both.
+#if defined(__SANITIZE_THREAD__)
+#define RELOCK_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define RELOCK_TSAN_FIBERS 1
+#endif
+#endif
+#ifndef RELOCK_TSAN_FIBERS
+#define RELOCK_TSAN_FIBERS 0
+#endif
+
 namespace relock::sim {
 
 /// A one-shot coroutine. `resume()` transfers control into the coroutine
@@ -42,6 +56,14 @@ class Coroutine {
  private:
   static void entry_thunk(void* self);
   [[noreturn]] void run_entry();
+  /// Fiber bookkeeping before each switch into / out of the coroutine.
+#if RELOCK_TSAN_FIBERS
+  void enter_fiber() noexcept;
+  void leave_fiber() noexcept;
+#else
+  void enter_fiber() noexcept {}
+  void leave_fiber() noexcept {}
+#endif
 
   std::function<void()> entry_;
   Stack stack_;
@@ -54,6 +76,10 @@ class Coroutine {
 #else
   ucontext_t coro_ctx_{};
   ucontext_t caller_ctx_{};
+#endif
+#if RELOCK_TSAN_FIBERS
+  void* fiber_ = nullptr;         ///< TSan fiber of the coroutine
+  void* caller_fiber_ = nullptr;  ///< TSan fiber of the last resumer
 #endif
 };
 

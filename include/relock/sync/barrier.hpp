@@ -73,17 +73,18 @@ class Barrier {
 
   void wait_for_sense(Ctx& ctx, std::uint64_t my_sense) {
     const LockAttributes attrs = waiting_;
+    // A round with neither phase still probes once: the degenerate
+    // (0,_,0,_) tuple must observe the sense flip.
+    const std::uint32_t probes =
+        attrs.spin_count == 0 && attrs.sleep_ns == 0 ? 1 : attrs.spin_count;
     for (;;) {
       // Spin phase.
-      for (std::uint32_t i = 0; i < attrs.spin_count;) {
+      for (std::uint32_t i = 0; i < probes;) {
         if (P::load(ctx, sense_) == my_sense) return;
         P::pause(ctx);
-        if (attrs.spin_count != kInfiniteSpins) ++i;
+        if (probes != kInfiniteSpins) ++i;
       }
-      if (attrs.sleep_ns == 0) {
-        if (attrs.spin_count == 0) P::pause(ctx);
-        continue;
-      }
+      if (attrs.sleep_ns == 0) continue;
       // Sleep phase. The node lives on our stack: it is enqueued and - on
       // every wake path, including timer expiry - dequeued under meta, so
       // the releaser can never observe a dangling node.

@@ -131,8 +131,12 @@ class Semaphore {
     BackoffSchedule backoff(BackoffSchedule::Params{
         attrs.delay_ns != 0 ? attrs.delay_ns : 1,
         attrs.sleep_ns > 0 ? attrs.delay_ns : attrs.delay_ns * 16, 2});
+    // A round with neither phase still probes once: the degenerate
+    // (0,_,0,_) tuple must observe its grant and its deadline.
+    const std::uint32_t probes =
+        attrs.spin_count == 0 && attrs.sleep_ns == 0 ? 1 : attrs.spin_count;
     for (;;) {
-      for (std::uint32_t i = 0; i < attrs.spin_count;) {
+      for (std::uint32_t i = 0; i < probes;) {
         if (node.granted.load(std::memory_order_acquire) != 0) return true;
         if (deadline != kForever && P::now(ctx) >= deadline) return false;
         if (attrs.delay_ns != 0) {
@@ -140,12 +144,9 @@ class Semaphore {
         } else {
           P::pause(ctx);
         }
-        if (attrs.spin_count != kInfiniteSpins) ++i;
+        if (probes != kInfiniteSpins) ++i;
       }
-      if (attrs.sleep_ns == 0) {
-        if (attrs.spin_count == 0) P::pause(ctx);
-        continue;
-      }
+      if (attrs.sleep_ns == 0) continue;
       if (node.granted.load(std::memory_order_acquire) != 0) return true;
       if (attrs.sleep_ns == kForever && deadline == kForever) {
         P::block(ctx);

@@ -4,6 +4,33 @@
 #include <cstring>
 #include <utility>
 
+#if RELOCK_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
+namespace relock::sim {
+
+#if RELOCK_TSAN_FIBERS
+void Coroutine::enter_fiber() noexcept {
+  if (fiber_ == nullptr) fiber_ = __tsan_create_fiber(0);
+  caller_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(fiber_, 0);
+}
+void Coroutine::leave_fiber() noexcept {
+  __tsan_switch_to_fiber(caller_fiber_, 0);
+}
+Coroutine::~Coroutine() {
+  if (fiber_ != nullptr) __tsan_destroy_fiber(fiber_);
+}
+#else
+// A coroutine abandoned mid-flight simply has its stack unmapped; entry
+// functions in this codebase hold no resources across suspension points
+// that the simulator does not also own.
+Coroutine::~Coroutine() = default;
+#endif
+
+}  // namespace relock::sim
+
 #if defined(__x86_64__)
 
 extern "C" {
@@ -45,19 +72,15 @@ Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
   coro_sp_ = frame;
 }
 
-Coroutine::~Coroutine() {
-  // A coroutine abandoned mid-flight simply has its stack unmapped; entry
-  // functions in this codebase hold no resources across suspension points
-  // that the simulator does not also own.
-}
-
 void Coroutine::resume() {
   assert(!finished_ && "resume of finished coroutine");
   started_ = true;
+  enter_fiber();
   relock_ctx_swap(&caller_sp_, coro_sp_);
 }
 
 void Coroutine::suspend() {
+  leave_fiber();
   relock_ctx_swap(&coro_sp_, caller_sp_);
 }
 
@@ -69,6 +92,7 @@ void Coroutine::run_entry() {
   entry_();
   finished_ = true;
   // Final transfer back to the resumer; never returns.
+  leave_fiber();
   relock_ctx_swap(&coro_sp_, caller_sp_);
   assert(false && "finished coroutine was resumed");
   __builtin_unreachable();
@@ -91,15 +115,17 @@ Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
               reinterpret_cast<void (*)()>(&Coroutine::entry_thunk), 1, this);
 }
 
-Coroutine::~Coroutine() = default;
-
 void Coroutine::resume() {
   assert(!finished_ && "resume of finished coroutine");
   started_ = true;
+  enter_fiber();
   swapcontext(&caller_ctx_, &coro_ctx_);
 }
 
-void Coroutine::suspend() { swapcontext(&coro_ctx_, &caller_ctx_); }
+void Coroutine::suspend() {
+  leave_fiber();
+  swapcontext(&coro_ctx_, &caller_ctx_);
+}
 
 void Coroutine::entry_thunk(void* self) {
   static_cast<Coroutine*>(self)->run_entry();
@@ -108,6 +134,7 @@ void Coroutine::entry_thunk(void* self) {
 void Coroutine::run_entry() {
   entry_();
   finished_ = true;
+  leave_fiber();
   swapcontext(&coro_ctx_, &caller_ctx_);
   assert(false && "finished coroutine was resumed");
   __builtin_unreachable();

@@ -377,4 +377,40 @@ TEST(Async, ManyWaitersDrainInArrivalOrder) {
   lock.unlock(ctx);
 }
 
+TEST(Async, NoneSchedulerWaitersRideTheCellAndOrphanFifo) {
+  // Coroutines cannot run the barging engine, so under kNone they publish
+  // into the lock's cell like every queued kind; with no module to drain
+  // into, the release parks them on the orphan queue and hands off FIFO.
+  native::Domain domain;
+  native::Context ctx(domain);
+  Lock::Options o = fcfs_opts();
+  o.scheduler = SchedulerKind::kNone;
+  Lock lock(domain, o);
+  InlineExecutor<NP> exec;
+  AsyncLock<NP> alk(lock, exec);
+
+  lock.lock(ctx);
+  std::vector<int> order;
+  std::vector<Task> tasks;
+  auto waiter = [&](int id) -> Task {
+    AsyncGrant<NP> g = co_await alk.lock_async(ctx);
+    EXPECT_TRUE(g.acquired());
+    order.push_back(id);
+    g.unlock();
+  };
+  for (int i = 0; i < 3; ++i) tasks.push_back(waiter(i));
+  EXPECT_EQ(lock.waiter_count(), 3u);
+  EXPECT_TRUE(order.empty());
+  lock.unlock(ctx);  // each grant resumes its frame inside the release
+  for (auto& t : tasks) {
+    EXPECT_TRUE(t.done());
+    t.rethrow();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(lock.waiter_count(), 0u);
+  EXPECT_EQ(lock.state(ctx), LockState::kUnlocked);
+  EXPECT_TRUE(lock.try_lock(ctx));
+  lock.unlock(ctx);
+}
+
 }  // namespace

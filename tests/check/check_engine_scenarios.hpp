@@ -101,7 +101,7 @@ inline Scenario engine_tick2() {
 /// scheduler forcers (kQueue vs kPriorityThreshold from a kFcfs start),
 /// each ticking then running a lock cycle. DFS drives every interleaving
 /// of the two try_possess fast-fails, the back-to-back scheduler swaps
-/// (configuration delay, stray sweep) and the cycles threading through
+/// (configuration delay, cell drain) and the cycles threading through
 /// whichever module is installed or pending. The rate limiter's
 /// possession fast-fail is the surface: a lost possession defers, never
 /// spins, so the storm stays live.

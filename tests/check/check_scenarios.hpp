@@ -327,10 +327,10 @@ inline Scenario queue_timeout2() {
 
 /// Reconfiguration to and from the distributed queue racing contended
 /// cycles: a waiter linked in the cell when the configuration moves to
-/// kFcfs must be served by the queue façade under the configuration-delay
-/// rule (or swept by the stray drain if its tail-swap raced the install),
-/// and the return to kQueue must serve FCFS leftovers before cell
-/// arrivals.
+/// kFcfs must be served first, by the FIFO stand-in that takes over the
+/// cell's waiters, under the configuration-delay rule (or moved by the
+/// cell drain if its tail-swap raced the install), and the return to
+/// kQueue must serve FCFS leftovers before cell arrivals.
 inline Scenario queue_config2() {
   Scenario s;
   s.name = "queue_config2";
@@ -350,6 +350,31 @@ inline Scenario queue_config2() {
       lock_cycle(lk, ctx);
       lk->configure_scheduler(ctx, SchedulerKind::kQueue);
     });
+  };
+  return s;
+}
+
+/// Active-lock shutdown: a polling manager serves the releases of a thread
+/// running two cycles while a third thread calls stop_serving. The stop may
+/// land before the manager starts, while a release is being posted, or
+/// after the manager has gone; every release must still be served - a
+/// post nobody reads leaves the lock held, and the second cycle's acquire
+/// then spins until the step budget flags it (the no-lost-release oracle).
+inline Scenario active_stop3() {
+  Scenario s;
+  s.name = "active_stop3";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    Lock::Options o;
+    o.scheduler = SchedulerKind::kFcfs;
+    o.execution = Execution::kActive;
+    auto lk = std::make_shared<Lock>(f.domain(), o);
+    f.add_thread(1, [lk](Context& ctx) { lk->serve(ctx); });
+    f.add_thread(1, [lk](Context& ctx) {
+      lock_cycle(lk, ctx);
+      lock_cycle(lk, ctx);
+    });
+    f.add_thread(1, [lk](Context& ctx) { lk->stop_serving(ctx); });
   };
   return s;
 }

@@ -85,7 +85,7 @@ TEST(RelockCheckSmoke, QueueTimeout2Exhaustive) {
 
 TEST(RelockCheckSmoke, QueueConfig2Exhaustive) {
   // kQueue -> kFcfs -> kQueue reconfiguration with linked waiters:
-  // configuration delay, stray sweep, and FIFO across the generations.
+  // configuration delay, cell drain, and FIFO across the generations.
   expect_exhaustive(scenarios::queue_config2(), 2);
 }
 
@@ -137,6 +137,12 @@ TEST(RelockCheckSmoke, Guarded3Bound2Exhaustive) {
   // Possession window forcing a fissile releaser onto the guarded handoff
   // path - the fast->full->fast round trip with a waiter in flight.
   expect_exhaustive(scenarios::guarded3(), 2);
+}
+
+TEST(RelockCheckSmoke, ActiveStop3Bound2Exhaustive) {
+  // stop_serving racing an active lock's posted releases: no release may
+  // be posted after the stopping manager's last mailbox read.
+  expect_exhaustive(scenarios::active_stop3(), 2);
 }
 
 // The engine is deterministic: the same strategy explores the identical

@@ -1,7 +1,7 @@
 // Multithreaded stress of the contended slow path on NativePlatform: real
 // threads hammer lock/unlock while reconfiguration threads flip the
 // scheduler module and waiting policy underneath them. Exercises the
-// lock-free arrival stack (push vs. drain vs. lost-release recheck), the
+// lock-free arrival cell (push vs. drain vs. lost-release recheck), the
 // orphan queue (kNone reconfiguration races), per-thread attribute
 // overrides, and conditional acquisition timeouts - the oracle throughout
 // is mutual exclusion plus ops conservation.
@@ -165,7 +165,7 @@ TEST(ContentionStress, PerThreadAttributeChurn) {
 
 // Conditional acquisitions racing grants: every lock_for either times out
 // or enters the critical section; timed-out waiters must be withdrawn
-// cleanly (no dangling arrival-stack or queue entries once threads exit).
+// cleanly (no dangling cell or queue entries once threads exit).
 TEST(ContentionStress, TimeoutsRaceGrants) {
   native::Domain dom(64);
   Lock lock(dom, {.scheduler = SchedulerKind::kFcfs});

@@ -501,5 +501,117 @@ TEST(QueueScheduler, TimeoutsRacingReconfiguration) {
   lk.unlock(ctx);
 }
 
+// ------------------------------- the cell as every kind's arrival channel
+// On the native platform every queued kind publishes into the lock's cell;
+// the release module drains it into the module that is not the distributed
+// queue.
+
+TEST(ArrivalCell, QueueToPriorityServesPreRegisteredWaitersFifoFirst) {
+  // Two waiters linked under kQueue, the lower priority first; then a
+  // reconfiguration to kPriorityQueue, and two arrivals during the
+  // configuration delay, the lower priority first. The pre-registered pair
+  // must be granted FIFO (the outgoing module's order), the delay arrivals
+  // by priority. Were the linked pair left in the cell, which is now the
+  // incoming kind's channel too, the release's drain would move them into
+  // the priority module with the delay's arrivals: all four by priority.
+  native::Domain dom;
+  Lock lk(dom, opts(SchedulerKind::kQueue, LockAttributes::blocking()));
+  native::Context ctx(dom);
+  lk.lock(ctx);
+  std::vector<int> order;  // guarded by lk itself
+  std::vector<std::thread> waiters;
+  const auto arrive = [&](int id, Priority prio) {
+    const std::uint32_t before = lk.waiter_count();
+    waiters.emplace_back([&, id, prio] {
+      native::Context tctx(dom, prio);
+      lk.lock(tctx);
+      order.push_back(id);
+      lk.unlock(tctx);
+    });
+    await([&] { return lk.waiter_count() == before + 1; }, true);
+  };
+  arrive(0, 1);
+  arrive(1, 2);
+  lk.configure_scheduler(ctx, SchedulerKind::kPriorityQueue);
+  EXPECT_TRUE(lk.reconfiguration_pending());
+  arrive(2, 5);
+  arrive(3, 9);
+  lk.unlock(ctx);
+  for (auto& w : waiters) w.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2}));
+  EXPECT_FALSE(lk.reconfiguration_pending());
+  EXPECT_EQ(lk.scheduler_kind(), SchedulerKind::kPriorityQueue);
+  EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+}
+
+TEST(ArrivalCell, TimedFcfsWaiterWithdrawsFromTheCell) {
+  // The owner never releases while the timed waiter waits, so no release
+  // drains its record into the FCFS module: the timeout must unlink it
+  // from the cell itself. A record left behind would be drained - and
+  // granted - ahead of the later waiter after its frame is gone.
+  native::Domain dom;
+  Lock lk(dom, opts(SchedulerKind::kFcfs));
+  native::Context ctx(dom);
+  lk.lock(ctx);
+  std::thread timed([&] {
+    native::Context tctx(dom);
+    EXPECT_FALSE(lk.lock_for(tctx, 20'000'000));  // 20 ms
+  });
+  timed.join();
+  EXPECT_EQ(lk.waiter_count(), 0u);
+  std::atomic<bool> entered{false};
+  std::thread later([&] {
+    native::Context tctx(dom);
+    lk.lock(tctx);
+    entered.store(true, std::memory_order_release);
+    lk.unlock(tctx);
+  });
+  await([&] { return lk.waiter_count() == 1; }, true);
+  lk.unlock(ctx);
+  later.join();
+  EXPECT_TRUE(entered.load(std::memory_order_acquire));
+  EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+  lk.lock(ctx);
+  lk.unlock(ctx);
+  EXPECT_TRUE(lk.in_fast_mode(ctx));
+}
+
+TEST(ArrivalCell, DelayedQueueArrivalsWaitOutIneligibleWaiters) {
+  // kPriorityThreshold with one ineligible waiter, reconfigured to kQueue:
+  // the configuration delay holds a later arrival in the cell. The
+  // holder's release finds nobody eligible and must publish the lock free
+  // rather than re-grab it for the held-back cell forever; the ineligible
+  // waiter's timeout then ends the delay and the cell's waiter is granted.
+  native::Domain dom;
+  Lock lk(dom, opts(SchedulerKind::kPriorityThreshold,
+                    LockAttributes::blocking()));
+  native::Context ctx(dom);
+  lk.set_priority_threshold(ctx, 5);
+  lk.lock(ctx);
+  std::thread ineligible([&] {
+    native::Context tctx(dom, /*priority=*/1);
+    EXPECT_FALSE(lk.lock_for(tctx, 50'000'000));  // 50 ms
+  });
+  await([&] { return lk.waiter_count() == 1; }, true);
+  lk.configure_scheduler(ctx, SchedulerKind::kQueue);
+  EXPECT_TRUE(lk.reconfiguration_pending());
+  std::atomic<bool> entered{false};
+  std::thread queued([&] {
+    native::Context tctx(dom, /*priority=*/9);
+    lk.lock(tctx);
+    entered.store(true, std::memory_order_release);
+    lk.unlock(tctx);
+  });
+  await([&] { return lk.waiter_count() == 2; }, true);
+  lk.unlock(ctx);
+  EXPECT_FALSE(entered.load(std::memory_order_acquire));
+  ineligible.join();
+  queued.join();
+  EXPECT_TRUE(entered.load(std::memory_order_acquire));
+  EXPECT_FALSE(lk.reconfiguration_pending());
+  EXPECT_EQ(lk.scheduler_kind(), SchedulerKind::kQueue);
+  EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+}
+
 }  // namespace
 }  // namespace relock

@@ -234,6 +234,51 @@ TEST(SemaphoreSim, TimedOutWaiterDoesNotConsumeLaterPermit) {
   EXPECT_TRUE(second_got);
 }
 
+// The degenerate (0,_,0,_) tuple has neither a spin nor a sleep phase; each
+// waiting round must still probe once. The simulated runs are bounded in
+// virtual time, so a waiter that never probes shows up as a thread that
+// has not finished, not as a hung test.
+constexpr LockAttributes kNoPhase{/*spin=*/0, /*delay=*/0, /*sleep=*/0,
+                                  /*timeout=*/0};
+
+TEST(SemaphoreSim, DegenerateTupleObservesRelease) {
+  Machine m(MachineParams::test_machine(2));
+  Semaphore<SimPlatform> sem(m, 0, Placement::on(0), kNoPhase);
+  bool got = false;
+  m.spawn(0, [&](Thread& t) { got = sem.acquire(t); });
+  m.spawn(1, [&](Thread& t) {
+    m.compute(t, 50'000);
+    sem.release(t);
+  });
+  m.run(10'000'000);
+  EXPECT_TRUE(got);
+}
+
+TEST(SemaphoreSim, DegenerateTimedAcquireReturnsByItsDeadline) {
+  // (0,0,0,T): nobody releases, so the acquire must return false once T
+  // has passed - no later than one microsecond after the deadline (500
+  // probe rounds at the test machine's 2 ns pause).
+  constexpr Nanos kTimeout = 80'000;
+  constexpr Nanos kBound = 1'000;
+  Machine m(MachineParams::test_machine(2));
+  Semaphore<SimPlatform> sem(m, 0, Placement::on(0),
+                             LockAttributes::conditional(kTimeout, kNoPhase));
+  bool returned = false;
+  bool got = true;
+  Nanos waited = 0;
+  m.spawn(0, [&](Thread& t) {
+    const Nanos start = m.now();
+    got = sem.acquire(t);
+    waited = m.now() - start;
+    returned = true;
+  });
+  m.run(10'000'000);
+  ASSERT_TRUE(returned);
+  EXPECT_FALSE(got);
+  EXPECT_GE(waited, kTimeout);
+  EXPECT_LE(waited, kTimeout + kBound);
+}
+
 TEST(SemaphoreNative, BoundedResourcePool) {
   native::Domain dom;
   Semaphore<NP> sem(dom, 3, Placement::any(), LockAttributes::blocking());
@@ -329,6 +374,21 @@ TEST(BarrierSim, TimedSleepBarrierCompletes) {
     });
   }
   m.run();
+  EXPECT_EQ(passed, 3);
+}
+
+TEST(BarrierSim, DegenerateTupleObservesSenseFlip) {
+  Machine m(MachineParams::test_machine(3));
+  Barrier<SimPlatform> barrier(m, 3, Placement::on(0), kNoPhase);
+  int passed = 0;
+  for (int i = 0; i < 3; ++i) {
+    m.spawn(static_cast<ProcId>(i), [&, i](Thread& t) {
+      m.compute(t, static_cast<Nanos>(10'000 * (i + 1)));
+      barrier.arrive_and_wait(t);
+      ++passed;
+    });
+  }
+  m.run(10'000'000);
   EXPECT_EQ(passed, 3);
 }
 
