@@ -2,7 +2,9 @@
 // of relock/sync/semaphore.hpp. acquire_async suspends the coroutine when
 // the count is zero; release grants queued frames FIFO and resumes them
 // inline on the releasing thread (or through an Executor when one is
-// bound), mirroring the sync semaphore's direct-grant release.
+// bound), mirroring the sync semaphore's direct-grant release. The count
+// and the frame FIFO sit behind the lock's meta guard and waiter queue
+// (platform/meta_guard.hpp).
 #pragma once
 
 #include "relock/async/config.hpp"
@@ -15,6 +17,7 @@
 #include "relock/core/attributes.hpp"
 #include "relock/core/usage_error.hpp"
 #include "relock/platform/chk_hooks.hpp"
+#include "relock/platform/meta_guard.hpp"
 #include "relock/platform/platform.hpp"
 
 namespace relock::async {
@@ -47,17 +50,15 @@ class AsyncSemaphore {
     bool await_suspend(std::coroutine_handle<> h) {
       node_.handle = h;
       chk_point<P>(launch_, "co.suspend");
-      sem_.meta_lock(launch_);
+      meta_lock<P>(launch_, sem_.meta_);
       // Re-check under meta: a release may have landed since await_ready.
-      const std::uint32_t c = sem_.count_;
-      if (c > 0) {
-        sem_.count_ = c - 1;
-        sem_.meta_unlock(launch_);
+      const bool took = sem_.take_locked();
+      if (!took) sem_.waiters_.push_back(node_);
+      meta_unlock<P>(launch_, sem_.meta_);
+      if (took) {
         node_.resume_ctx = &launch_;
         return false;  // resume immediately, permit in hand
       }
-      sem_.enqueue_locked(node_);
-      sem_.meta_unlock(launch_);
       // The frame may resume - and this awaiter die - on the releasing
       // thread the instant meta is dropped; touch nothing after this.
       return true;
@@ -84,11 +85,10 @@ class AsyncSemaphore {
   [[nodiscard]] Awaiter acquire_async(Ctx& ctx) { return Awaiter(*this, ctx); }
 
   bool try_acquire(Ctx& ctx) {
-    meta_lock(ctx);
-    const std::uint32_t c = count_;
-    if (c > 0) count_ = c - 1;
-    meta_unlock(ctx);
-    return c > 0;
+    meta_lock<P>(ctx, meta_);
+    const bool took = take_locked();
+    meta_unlock<P>(ctx, meta_);
+    return took;
   }
 
   /// Releases `n` permits, resuming queued frames FIFO on this thread.
@@ -97,15 +97,11 @@ class AsyncSemaphore {
       throw LockUsageError("AsyncSemaphore::release: n must be > 0");
     }
     while (n > 0) {
-      meta_lock(ctx);
-      typename Awaiter::Node* node = head_;
-      if (node == nullptr) {
-        count_ += n;
-        meta_unlock(ctx);
-        return;
-      }
-      remove_locked(*node);
-      meta_unlock(ctx);
+      meta_lock<P>(ctx, meta_);
+      typename Awaiter::Node* const node = waiters_.pop_front();
+      if (node == nullptr) count_ += n;
+      meta_unlock<P>(ctx, meta_);
+      if (node == nullptr) return;
       --n;
       // Grant by resumption: the frame owns its node, so this is the last
       // touch. The resumed frame may release in turn - bounded recursion
@@ -117,50 +113,25 @@ class AsyncSemaphore {
   }
 
   [[nodiscard]] std::uint32_t count_hint(Ctx& ctx) {
-    meta_lock(ctx);
+    meta_lock<P>(ctx, meta_);
     const std::uint32_t c = count_;
-    meta_unlock(ctx);
+    meta_unlock<P>(ctx, meta_);
     return c;
   }
 
  private:
   friend class Awaiter;
 
-  void meta_lock(Ctx& ctx) {
-    for (;;) {
-      if (P::load_relaxed(ctx, meta_) == 0 &&
-          P::fetch_or(ctx, meta_, 1) == 0) {
-        return;
-      }
-      P::pause(ctx);
-    }
-  }
-  void meta_unlock(Ctx& ctx) { P::store(ctx, meta_, 0); }
-
-  void enqueue_locked(typename Awaiter::Node& node) {
-    node.prev = tail_;
-    node.next = nullptr;
-    node.queued = true;
-    if (tail_ != nullptr) {
-      tail_->next = &node;
-    } else {
-      head_ = &node;
-    }
-    tail_ = &node;
-  }
-
-  void remove_locked(typename Awaiter::Node& node) {
-    if (!node.queued) return;
-    if (node.prev != nullptr) node.prev->next = node.next; else head_ = node.next;
-    if (node.next != nullptr) node.next->prev = node.prev; else tail_ = node.prev;
-    node.prev = node.next = nullptr;
-    node.queued = false;
+  /// Meta held: consumes a permit if one is available.
+  bool take_locked() {
+    if (count_ == 0) return false;
+    --count_;
+    return true;
   }
 
   typename P::Word meta_;
   std::uint32_t count_;  ///< guarded by meta
-  typename Awaiter::Node* head_ = nullptr;  ///< guarded by meta
-  typename Awaiter::Node* tail_ = nullptr;  ///< guarded by meta
+  WaiterQueue<typename Awaiter::Node> waiters_;  ///< guarded by meta
 };
 
 }  // namespace relock::async

@@ -80,7 +80,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -88,10 +87,12 @@
 #include "relock/core/attributes.hpp"
 #include "relock/core/scheduler.hpp"
 #include "relock/core/usage_error.hpp"
+#include "relock/core/wait.hpp"
 #include "relock/core/waiter.hpp"
 #include "relock/monitor/lock_monitor.hpp"
 #include "relock/platform/backoff.hpp"
 #include "relock/platform/chk_hooks.hpp"
+#include "relock/platform/meta_guard.hpp"
 #include "relock/platform/platform.hpp"
 #include "relock/platform/trace_hooks.hpp"
 
@@ -627,9 +628,6 @@ class ConfigurableLock {
   }
 
  private:
-  /// kAgain: a sleep phase ended with neither outcome; run another round.
-  enum class WaitResult : std::uint8_t { kGranted, kTimedOut, kAgain };
-
   /// Where a contended arrival publishes its record - the publish stage's
   /// policy, chosen by route() and consumed by publish() and
   /// resolve_timeout() (DESIGN.md "The acquisition pipeline").
@@ -712,12 +710,6 @@ class ConfigurableLock {
     Ctx* ctx_ = nullptr;
   };
 
-  struct ReleaseRequest {
-    ThreadId hint;
-    bool shared;
-    Nanos hold_started;
-  };
-
   [[nodiscard]] bool rw_capable() const noexcept {
     return opts_.scheduler == SchedulerKind::kReaderWriter;
   }
@@ -735,34 +727,10 @@ class ConfigurableLock {
 
   // ------------------------------------------------------------- meta ----
 
-  // TTAS: probe with cheap reads, RMW only when the guard looks free -
-  // spinning with RMWs would serialize on the (expensive) atomic path of
-  // the lock's home memory module.
-  //
-  // On real-concurrency platforms failed probes escalate: a few PAUSEs,
-  // then bounded exponential busy-delays (so colliding threads de-phase
-  // instead of hammering the guard line), then yields (so an oversubscribed
-  // processor reaches the guard holder at all). The simulator keeps the
-  // seed's pure TTAS loop: its pauses are costed events and the calibrated
-  // tables depend on the exact access sequence.
-  void meta_lock(Ctx& ctx) {
-    BackoffSchedule backoff(BackoffSchedule::Params{
-        kMetaBackoffInitialNs, kMetaBackoffCapNs, 2});
-    for (std::uint32_t failed = 0;; ++failed) {
-      if (P::load_relaxed(ctx, meta_) == 0 &&
-          P::fetch_or(ctx, meta_, 1) == 0) {
-        return;
-      }
-      if (!kRealConcurrency<P> || failed < kMetaPureSpins) {
-        P::pause(ctx);
-      } else if (failed < kMetaPureSpins + kMetaBackoffRounds) {
-        P::delay(ctx, backoff.next());
-      } else {
-        P::yield(ctx);
-      }
-    }
-  }
-  void meta_unlock(Ctx& ctx) { P::store(ctx, meta_, 0); }
+  // The one meta guard (platform/meta_guard.hpp): pure TTAS on the
+  // simulator, escalating to busy delays and yields on real platforms.
+  void meta_lock(Ctx& ctx) { relock::meta_lock<P>(ctx, meta_); }
+  void meta_unlock(Ctx& ctx) { relock::meta_unlock<P>(ctx, meta_); }
 
   // ------------------------------------------------------- attributes ----
 
@@ -964,11 +932,14 @@ class ConfigurableLock {
     WaiterRecord<P> rec(domain_, ctx.self(), ctx.priority(),
                         grant_flag_placement(ctx), shared,
                         policy_may_sleep(attrs, opts_.advisory) ||
-                            oversubscribed(ctx));
+                            oversubscribed<P>(ctx));
     rec.enqueue_time = t0;
     publish(ctx, rec, via);
-    if (wait_queued(ctx, rec, attrs, deadline) == WaitResult::kTimedOut &&
-        resolve_timeout(ctx, rec, via)) {
+    // Queued waiting: Phi polls (or sleeps on) the record's own grant flag.
+    const WaitResult waited = wait_queued<P>(
+        ctx, attrs, deadline, rec.may_sleep,
+        [&] { return P::load(ctx, rec.granted) != 0; }, taps(), advisor(ctx));
+    if (waited == WaitResult::kTimedOut && resolve_timeout(ctx, rec, via)) {
       return false;
     }
     waiter_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -1226,132 +1197,13 @@ class ConfigurableLock {
 
   // --------------------------------------------- the waiting engine ------
 
-  /// More live threads than processors (kRealConcurrency only; the
-  /// simulator models no oversubscription).
-  static bool oversubscribed(Ctx& ctx) {
-    if constexpr (kRealConcurrency<P>) {
-      return P::oversubscribed(ctx);
-    } else {
-      (void)ctx;
-      return false;
-    }
-  }
-
-  [[nodiscard]] static bool expired(Ctx& ctx, Nanos deadline) {
-    return deadline != kForever && P::now(ctx) >= deadline;
-  }
-
-  /// Parks for one sleep phase: until woken when both bounds are
-  /// infinite, else for at most `sleep_ns` and never past `deadline`.
-  /// Returns false, without parking, when the deadline has passed.
-  bool park(Ctx& ctx, Nanos sleep_ns, Nanos deadline) {
-    Nanos bound = sleep_ns;
-    if (deadline != kForever) {
-      const Nanos now = P::now(ctx);
-      if (now >= deadline) return false;
-      bound = std::min(bound, deadline - now);
-    }
-    note_trace(ctx, LockEvent::kPark, ctx.self());
-    if (bound == kForever) {
-      P::block(ctx);
-    } else {
-      (void)P::block_for(ctx, bound);
-    }
-    note_trace(ctx, LockEvent::kUnpark, ctx.self());
-    return true;
-  }
-
-  /// The waiting component Phi, shared by every wait structure: rounds of
-  /// a spin phase followed by a sleep phase ("a thread spins and sleeps in
-  /// turn until it acquires the lock"). The owner's advice, when advisory
-  /// mode is on, overrides the configured policy round by round. `probe()`
-  /// tries for ownership once; `sleep(ns)` runs one sleep phase and returns
-  /// kGranted or kTimedOut to end the wait, kAgain for another round.
-  /// `signalled` is the waiter's published record when grants signal it
-  /// (queued waiting), nullptr otherwise.
-  template <typename Probe, typename Sleep>
-  WaitResult wait_rounds(Ctx& ctx, const LockAttributes& attrs,
-                         Nanos deadline, const WaiterRecord<P>* signalled,
-                         Probe probe, Sleep sleep) {
-    // Pure backoff spinning grows the delay geometrically (Anderson);
-    // mixed spin/sleep policies use a constant probe gap so "spin N times"
-    // spans a predictable window before the sleep phase.
-    BackoffSchedule backoff(BackoffSchedule::Params{
-        attrs.delay_ns != 0 ? attrs.delay_ns : 1,
-        attrs.sleep_ns > 0 ? attrs.delay_ns : attrs.delay_ns * 16, 2});
-    std::uint32_t streak = 0;
-    for (;;) {
-      std::uint32_t probes = attrs.spin_count;
-      Nanos sleep_ns = attrs.sleep_ns;
+  /// Phi's lock-only inputs (core/wait.hpp): the monitor's probe and block
+  /// counts, the park/unpark trace markers, and the owner's advice.
+  [[nodiscard]] WaitTaps taps() noexcept { return {&monitor_, &trace_tag_}; }
+  auto advisor(Ctx& ctx) {
+    return [this, &ctx](std::uint32_t& probes, Nanos& sleep_ns) {
       if (opts_.advisory) apply_advice(ctx, probes, sleep_ns);
-      // A round with neither phase still probes once: the degenerate
-      // (0,_,0,_) tuple must observe its grant and its deadline.
-      if (probes == 0 && sleep_ns == 0) probes = 1;
-
-      // Spin phase.
-      for (std::uint32_t i = 0; i < probes;) {
-        if (probe()) return WaitResult::kGranted;
-        monitor_.on_spin_probe();
-        if (expired(ctx, deadline)) return WaitResult::kTimedOut;
-        if (attrs.delay_ns != 0) {
-          P::delay(ctx, backoff.next());
-        } else if (signalled != nullptr && signalled->may_sleep &&
-                   streak >= kStreakBeforeParkOversubscribed &&
-                   oversubscribed(ctx)) {
-          // Oversubscription escalation: once the streak shows the
-          // grant-holder is not being scheduled, stop probing - every yield
-          // a doomed spinner takes steals a quantum from the thread that
-          // must produce the grant. A policy with a sleep phase of its own
-          // breaks to it early (without this, a combined policy burns its
-          // whole spin budget as yields every round and lands far below
-          // both pure spin and pure blocking - the fcfs/combined_100
-          // collapse in BENCH_native_throughput); a policy without one
-          // parks right here. The streak is not reset on wakeup, so the
-          // budget does not re-arm: a still-oversubscribed waiter goes
-          // straight back to sleeping. Only records registered sleepable
-          // escalate (their grant signals the parker; the token protocol
-          // absorbs a grant landing between the check and the park).
-          if (sleep_ns != 0) {
-            // One spin step before the early sleep: a timed park alone
-            // carries no progress guarantee in the relock-check model (its
-            // timeout re-arms without a gated point, so a maximal adversary
-            // can starve the releaser forever), and the gated pause/yield
-            // inside spin_step is what hands the schedule back. On
-            // hardware it costs one PAUSE.
-            spin_step<P>(ctx, streak);
-            break;  // to this policy's own sleep phase
-          }
-          monitor_.on_block();
-          if (!park(ctx, kForever, deadline)) return WaitResult::kTimedOut;
-        } else {
-          spin_step<P>(ctx, streak);
-        }
-        if (probes != kInfiniteSpins) ++i;
-      }
-
-      // Sleep phase.
-      if (sleep_ns == 0) continue;
-      if (const WaitResult r = sleep(sleep_ns); r != WaitResult::kAgain) {
-        return r;
-      }
-    }
-  }
-
-  /// Queued waiting: polls (or sleeps on) this waiter's own grant flag.
-  WaitResult wait_queued(Ctx& ctx, WaiterRecord<P>& rec,
-                         const LockAttributes& attrs, Nanos deadline) {
-    const auto granted = [&] { return P::load(ctx, rec.granted) != 0; };
-    return wait_rounds(ctx, attrs, deadline, &rec, granted,
-                       [&](Nanos sleep_ns) {
-                         if (granted()) return WaitResult::kGranted;
-                         monitor_.on_block();
-                         if (!park(ctx, sleep_ns, deadline)) {
-                           return WaitResult::kTimedOut;
-                         }
-                         if (granted()) return WaitResult::kGranted;
-                         return expired(ctx, deadline) ? WaitResult::kTimedOut
-                                                       : WaitResult::kAgain;
-                       });
+    };
   }
 
   /// Centralized waiting: TTAS probes of the state word; sleepers register
@@ -1372,8 +1224,8 @@ class ConfigurableLock {
       }
       ~CountGuard() { count.fetch_sub(1, std::memory_order_relaxed); }
     } count_guard{waiter_count_};
-    return wait_rounds(
-        ctx, attrs, deadline, nullptr,
+    return wait_rounds<P>(
+        ctx, attrs, deadline, /*park_early=*/false,
         [&] {
           return claimed(P::load(ctx, state_)) &&
                  claimed(P::fetch_or(ctx, state_, kStateHeld));
@@ -1394,14 +1246,14 @@ class ConfigurableLock {
           }
           sleepers_.push_back(rec);
           meta_unlock(ctx);
-          monitor_.on_block();
-          (void)park(ctx, sleep_ns, deadline);
+          (void)park<P>(ctx, sleep_ns, deadline, taps());
           meta_lock(ctx);
           sleepers_.remove(rec);  // no-op if the releaser already popped us
           meta_unlock(ctx);
-          return expired(ctx, deadline) ? WaitResult::kTimedOut
-                                        : WaitResult::kAgain;
-        });
+          return expired<P>(ctx, deadline) ? WaitResult::kTimedOut
+                                           : WaitResult::kAgain;
+        },
+        taps(), advisor(ctx));
   }
 
   /// Overrides one waiting round's plan with the owner's advice. Sleep
@@ -2047,8 +1899,9 @@ class ConfigurableLock {
 
   // -------------------------------------------------- active locks -------
 
-  // Mailbox protocol: 0 = empty; kMailboxShared = shared releases queued
-  // under meta; >= kMailboxExclusive = one exclusive release, hint inline.
+  // Mailbox protocol: 0 = empty; kMailboxShared = shared releases counted
+  // in pending_release_count_; >= kMailboxExclusive = one exclusive
+  // release, hint inline.
   // An exclusive lock has at most one release in flight (the next release
   // cannot happen before the manager grants this one), so the whole request
   // fits in a single mailbox write - this is what makes active unlocks
@@ -2087,11 +1940,9 @@ class ConfigurableLock {
     if (!shared) {
       P::store(ctx, mailbox_, encode_mailbox_hint(hint));
     } else {
-      // Readers may release concurrently: queue under meta.
-      meta_lock(ctx);
-      pending_releases_.push_back(ReleaseRequest{hint, shared, acquire_time_});
-      pending_release_count_.fetch_add(1, std::memory_order_relaxed);
-      meta_unlock(ctx);
+      // Readers may release concurrently, and every shared release is the
+      // same request: count it, then ring.
+      pending_release_count_.fetch_add(1);
       P::store(ctx, mailbox_, kMailboxShared);
     }
     if (!opts_.active_polling) {
@@ -2100,22 +1951,13 @@ class ConfigurableLock {
     }
   }
 
+  /// Manager only, after clearing the mailbox: runs one shared release per
+  /// posted count. The count is taken with an RMW, which is ordered with
+  /// every reader's increment: either it takes a racing reader's count, or
+  /// that reader's ring lands after the mailbox clear and is seen next.
   void drain_releases(Ctx& ctx) {
-    for (;;) {
-      // Host-side gate: never acquire meta when nothing is pending.
-      if (pending_release_count_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-      meta_lock(ctx);
-      if (pending_releases_.empty()) {
-        meta_unlock(ctx);
-        return;
-      }
-      const ReleaseRequest req = pending_releases_.front();
-      pending_releases_.pop_front();
-      pending_release_count_.fetch_sub(1, std::memory_order_release);
-      meta_unlock(ctx);
-      release(ctx, req.hint, req.shared);
+    while (std::uint32_t n = pending_release_count_.exchange(0)) {
+      for (; n != 0; --n) release(ctx, kInvalidThread, /*shared=*/true);
     }
   }
 
@@ -2126,21 +1968,6 @@ class ConfigurableLock {
   /// How long before the owner's announced release waiters resume spinning.
   static constexpr Nanos kAdviceSpinMargin = 60'000;
 
-  // Real-concurrency tuning (used only when kRealConcurrency<P>; the PAUSE
-  // to yield escalation of spin_step lives in platform/backoff.hpp).
-  /// Failed probes an oversubscribed spin-policy waiter tolerates before it
-  /// parks outright (it registered sleepable, so its grant signals the
-  /// parker). Zero: park on the first failed probe. Handoffs faster than the
-  /// park entry deposit a token the park consumes without sleeping, so the
-  /// fast-handoff case stays cheap, while every avoided yield/pause keeps a
-  /// doomed spinner off the run queue the grant-producing thread needs.
-  static constexpr std::uint32_t kStreakBeforeParkOversubscribed = 0;
-  /// meta_lock escalation: PAUSE probes, then bounded-exponential busy
-  /// delays, then yields.
-  static constexpr std::uint32_t kMetaPureSpins = 4;
-  static constexpr std::uint32_t kMetaBackoffRounds = 8;
-  static constexpr Nanos kMetaBackoffInitialNs = 64;
-  static constexpr Nanos kMetaBackoffCapNs = 4096;
   /// Release-path wake list capacity; overflow wakes are issued under meta.
   static constexpr std::size_t kWakeInline = 16;
 
@@ -2191,8 +2018,8 @@ class ConfigurableLock {
   std::uint32_t holders_ = 0;   ///< 0 free, 1 exclusive, n readers
   bool writer_held_ = false;    ///< RW mode only
 
-  WaiterQueue<P> sleepers_;     ///< centralized-mode sleeping waiters (meta)
-  WaiterQueue<P> orphans_;      ///< drained arrivals with no module (meta)
+  WaiterQueue<WaiterRecord<P>> sleepers_;  ///< centralized sleepers (meta)
+  WaiterQueue<WaiterRecord<P>> orphans_;   ///< drained, no module (meta)
 
   // Configuration-quiescence epoch (kRealConcurrency fast release). Host-
   // side atomics so the simulator's word placement is untouched.
@@ -2218,8 +2045,7 @@ class ConfigurableLock {
   std::atomic<bool> has_thread_attrs_{false};
 
   // Active-lock machinery.
-  std::deque<ReleaseRequest> pending_releases_;  ///< meta
-  std::atomic<std::uint32_t> pending_release_count_{0};
+  std::atomic<std::uint32_t> pending_release_count_{0};  ///< shared posts
   std::atomic<ThreadId> manager_tid_{kInvalidThread};
   std::atomic<bool> serving_{false};
   std::atomic<bool> stop_{false};

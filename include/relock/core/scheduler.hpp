@@ -157,7 +157,7 @@ class QueuedScheduler : public Scheduler<P> {
     return &w;
   }
 
-  WaiterQueue<P> queue_;
+  WaiterQueue<WaiterRecord<P>> queue_;
 };
 
 /// FCFS: strict FIFO grant order. The most common multiprocessor lock

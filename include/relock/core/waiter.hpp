@@ -10,6 +10,7 @@
 #include "relock/core/attributes.hpp"
 #include "relock/platform/backoff.hpp"
 #include "relock/platform/chk_hooks.hpp"
+#include "relock/platform/meta_guard.hpp"
 #include "relock/platform/platform.hpp"
 
 namespace relock {
@@ -77,7 +78,8 @@ struct WaiterRecord {
   /// is needed.
   std::atomic<WaiterRecord*> qnext{nullptr};
 
-  // Intrusive doubly-linked queue node, guarded by the lock's meta word.
+  // WaiterQueue links (platform/meta_guard.hpp), guarded by the lock's meta
+  // word.
   WaiterRecord* prev = nullptr;
   WaiterRecord* next = nullptr;
   bool queued = false;
@@ -274,66 +276,6 @@ struct WaitQueueCell {
     head = await_link(ctx, first, "qc.first");
     first.store(nullptr, std::memory_order_relaxed);
   }
-};
-
-/// Intrusive FIFO of waiter records. All operations are serialized by the
-/// owning lock (the meta guard, or release-module ownership).
-template <Platform P>
-class WaiterQueue {
- public:
-  using Rec = WaiterRecord<P>;
-
-  void push_back(Rec& r) noexcept {
-    r.prev = tail_;
-    r.next = nullptr;
-    r.queued = true;
-    if (tail_ != nullptr) {
-      tail_->next = &r;
-    } else {
-      head_ = &r;
-    }
-    tail_ = &r;
-  }
-
-  /// Re-inserts a record at the head. Used to return a pre-dequeued
-  /// successor (the fast-release cache) to the queue without losing its
-  /// FIFO position: the cached record was the oldest selection candidate.
-  void push_front(Rec& r) noexcept {
-    r.prev = nullptr;
-    r.next = head_;
-    r.queued = true;
-    if (head_ != nullptr) {
-      head_->prev = &r;
-    } else {
-      tail_ = &r;
-    }
-    head_ = &r;
-  }
-
-  void remove(Rec& r) noexcept {
-    if (!r.queued) return;
-    if (r.prev != nullptr) r.prev->next = r.next; else head_ = r.next;
-    if (r.next != nullptr) r.next->prev = r.prev; else tail_ = r.prev;
-    r.prev = r.next = nullptr;
-    r.queued = false;
-  }
-
-  [[nodiscard]] Rec* front() const noexcept { return head_; }
-  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
-
-  /// Iterates in FIFO order; `fn` returning false stops the walk.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (Rec* r = head_; r != nullptr;) {
-      Rec* next = r->next;  // fn may unlink r
-      if (!fn(*r)) return;
-      r = next;
-    }
-  }
-
- private:
-  Rec* head_ = nullptr;
-  Rec* tail_ = nullptr;
 };
 
 }  // namespace relock

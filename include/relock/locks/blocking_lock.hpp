@@ -7,9 +7,7 @@
 // order.
 #pragma once
 
-#include <atomic>
-#include <cassert>
-
+#include "relock/platform/meta_guard.hpp"
 #include "relock/platform/platform.hpp"
 
 namespace relock {
@@ -26,90 +24,38 @@ class BlockingLock {
   BlockingLock& operator=(const BlockingLock&) = delete;
 
   void lock(Ctx& ctx) {
-    meta_lock(ctx);
+    meta_lock<P>(ctx, meta_);
     if (P::load(ctx, locked_) == 0) {
       P::store(ctx, locked_, 1);
-      meta_unlock(ctx);
+      meta_unlock<P>(ctx, meta_);
       return;
     }
-    WaitNode node{ctx.self()};
-    enqueue(&node);
-    meta_unlock(ctx);
-    while (node.granted.load(std::memory_order_acquire) == 0) {
-      P::block(ctx);
-    }
+    // The queue is host bookkeeping; its simulated cost is the meta-word
+    // critical section plus the modelled block/wakeup costs.
+    WaitNode node(ctx.self(), /*sleeps=*/true);
+    waiters_.push_back(node);
+    meta_unlock<P>(ctx, meta_);
+    while (!node.is_granted()) P::block(ctx);
   }
 
   bool try_lock(Ctx& ctx) {
-    meta_lock(ctx);
+    meta_lock<P>(ctx, meta_);
     const bool free = P::load(ctx, locked_) == 0;
     if (free) P::store(ctx, locked_, 1);
-    meta_unlock(ctx);
+    meta_unlock<P>(ctx, meta_);
     return free;
   }
 
+  /// Grants the FIFO head directly, or frees the lock when nobody waits.
   void unlock(Ctx& ctx) {
-    meta_lock(ctx);
-    WaitNode* next = dequeue();
-    if (next == nullptr) {
-      P::store(ctx, locked_, 0);
-      meta_unlock(ctx);
-      return;
-    }
-    const ThreadId tid = next->tid;
-    next->granted.store(1, std::memory_order_release);
-    // After `granted` is set the node (on the waiter's stack) may vanish:
-    // do not touch `next` again. Waking via the ThreadId is safe.
-    meta_unlock(ctx);
-    P::unblock(ctx, tid);
+    grant_waiters<P>(ctx, meta_, waiters_, 1,
+                     [&](std::uint32_t) { P::store(ctx, locked_, 0); });
   }
 
  private:
-  /// Intrusive FIFO node living on the waiter's stack. The queue structure
-  /// itself is host bookkeeping; its cost in the simulator is represented by
-  /// the meta-word critical section plus the modelled block/wakeup costs.
-  struct WaitNode {
-    explicit WaitNode(ThreadId t) : tid(t) {}
-    ThreadId tid;
-    std::atomic<std::uint32_t> granted{0};
-    WaitNode* next = nullptr;
-  };
-
-  // TTAS probing keeps contended meta acquisition off the expensive atomic
-  // path of the memory module.
-  void meta_lock(Ctx& ctx) {
-    for (;;) {
-      if (P::load_relaxed(ctx, meta_) == 0 &&
-          P::fetch_or(ctx, meta_, 1) == 0) {
-        return;
-      }
-      P::pause(ctx);
-    }
-  }
-  void meta_unlock(Ctx& ctx) { P::store(ctx, meta_, 0); }
-
-  void enqueue(WaitNode* n) {
-    if (tail_ == nullptr) {
-      head_ = tail_ = n;
-    } else {
-      tail_->next = n;
-      tail_ = n;
-    }
-  }
-
-  WaitNode* dequeue() {
-    WaitNode* n = head_;
-    if (n != nullptr) {
-      head_ = n->next;
-      if (head_ == nullptr) tail_ = nullptr;
-    }
-    return n;
-  }
-
   typename P::Word meta_;    ///< TAS guard for the wait queue + locked_
   typename P::Word locked_;  ///< 1 while some thread owns the lock
-  WaitNode* head_ = nullptr; ///< guarded by meta_
-  WaitNode* tail_ = nullptr; ///< guarded by meta_
+  WaiterQueue<WaitNode> waiters_;  ///< guarded by meta_
 };
 
 }  // namespace relock

@@ -1,8 +1,10 @@
 // Exponential backoff in the style of Anderson et al. [ALL89]: the delay
 // between successive probes of a busy lock grows geometrically (like the
 // Ethernet collision backoff the paper cites) up to a cap. Also the polite
-// failed-probe step (spin_step) that the lock's waits and the distributed
-// queue's link-window waits share.
+// failed-probe step (spin_step), shared by the spin phase of the waiting
+// component Phi (core/wait.hpp: the lock, Semaphore and Barrier), the
+// distributed queue's link-window waits, the lock's attribute-slot reads
+// and the active lock's stopping manager.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +46,18 @@ class BackoffSchedule {
   Params params_{};
   Nanos current_ = Params{}.initial;
 };
+
+/// More live threads than processors. Platforms without real concurrency
+/// model no oversubscription, so this is false there.
+template <Platform P>
+bool oversubscribed(typename P::Context& ctx) {
+  if constexpr (kRealConcurrency<P>) {
+    return P::oversubscribed(ctx);
+  } else {
+    (void)ctx;
+    return false;
+  }
+}
 
 /// Failed probes a waiter tolerates (grant-flag spins, link-window waits)
 /// before escalating from PAUSE to yielding the processor; real-concurrency

@@ -60,12 +60,16 @@ concept Platform = requires(typename P::Context& ctx,
 // clang-format on
 
 /// True for platforms whose threads run with real hardware concurrency and
-/// whose word operations are *not* part of a calibrated cost model (today:
-/// the native platform). Lock algorithms use this to enable contention
-/// optimisations — the lock-free arrival cell, meta-guard backoff, and
-/// yield-escalating spin waits — that would otherwise perturb the
+/// whose word operations are *not* part of a calibrated cost model (the
+/// native platform, and relock-check, which explores exactly those paths).
+/// It enables contention optimisations that would otherwise perturb the
 /// simulator's calibrated access counts (EXPERIMENTS.md Tables 2-5 must
-/// stay byte-identical) or fight a cooperative scheduler.
+/// stay byte-identical) or fight a cooperative scheduler. Each is written
+/// once: the meta guard's backoff and yield (platform/meta_guard.hpp),
+/// which the lock and every primitive take; the yield-escalating
+/// spin_step and the oversubscription census (platform/backoff.hpp),
+/// which Phi's spin phase (core/wait.hpp) takes for the lock, Semaphore
+/// and Barrier; and the lock's lock-free arrival cell.
 template <typename P>
 inline constexpr bool kRealConcurrency = [] {
   if constexpr (requires { P::kRealConcurrency; }) {

@@ -1,14 +1,18 @@
 // Sense-reversing centralized barrier with a configurable waiting policy:
 // arrivals count up on a shared word; the last arriver flips the sense and
 // (for sleeping policies) wakes everyone. Per-thread sense state makes the
-// barrier safely reusable across generations.
+// barrier safely reusable across generations. Waiters run the lock's
+// waiting component Phi (core/wait.hpp) like its centralized waiters: probe
+// the sense word, sleep on a sleeper list behind the meta guard
+// (platform/meta_guard.hpp), and never park early.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "relock/core/attributes.hpp"
 #include "relock/core/usage_error.hpp"
+#include "relock/core/wait.hpp"
+#include "relock/platform/meta_guard.hpp"
 #include "relock/platform/platform.hpp"
 
 namespace relock {
@@ -20,7 +24,8 @@ class Barrier {
   using Domain = typename P::Domain;
 
   /// `parties` threads must arrive to release a generation. `waiting`
-  /// selects how non-last arrivers wait for the sense flip.
+  /// selects how non-last arrivers wait for the sense flip; it carries no
+  /// timeout, because arrive_and_wait has no way to report one.
   explicit Barrier(Domain& domain, std::uint32_t parties,
                    Placement placement = Placement::any(),
                    LockAttributes waiting = LockAttributes::spin(),
@@ -33,6 +38,9 @@ class Barrier {
         local_sense_(max_threads, 0) {
     if (parties_ == 0) {
       throw LockUsageError("Barrier: parties must be > 0");
+    }
+    if (waiting_.timeout_ns != 0) {
+      throw LockUsageError("Barrier: the waiting policy cannot time out");
     }
   }
   Barrier(const Barrier&) = delete;
@@ -51,120 +59,48 @@ class Barrier {
 
     const std::uint64_t arrived = P::fetch_add(ctx, count_, 1) + 1;
     if (arrived == parties_) {
-      // Last arriver: reset the counter, flip the sense, wake sleepers.
+      // Last arriver: reset the counter, flip the sense, wake sleepers
+      // (a pure-spin barrier has none and skips the guard).
       P::store(ctx, count_, 0);
       P::store(ctx, sense_, my_sense);
-      wake_sleepers(ctx);
+      if (waiting_.sleep_ns != 0) {
+        grant_waiters<P>(ctx, meta_, sleepers_, kAllWaiters,
+                         [](std::uint32_t) {});
+      }
       return;
     }
-    wait_for_sense(ctx, my_sense);
+    const auto flipped = [&] { return P::load(ctx, sense_) == my_sense; };
+    (void)wait_rounds<P>(
+        ctx, waiting_, kForever, /*park_early=*/false, flipped,
+        [&](Nanos sleep_ns) {
+          // The node lives on our stack: it is enqueued and - on every
+          // wake path, including timer expiry - dequeued under meta, so
+          // the releaser can never observe a dangling node.
+          WaitNode node(ctx.self(), /*sleeps=*/true);
+          meta_lock<P>(ctx, meta_);
+          if (flipped()) {
+            meta_unlock<P>(ctx, meta_);
+            return WaitResult::kGranted;
+          }
+          sleepers_.push_back(node);
+          meta_unlock<P>(ctx, meta_);
+          (void)park<P>(ctx, sleep_ns, kForever, {});
+          meta_lock<P>(ctx, meta_);
+          sleepers_.remove(node);  // no-op if the releaser already took us
+          meta_unlock<P>(ctx, meta_);
+          return flipped() ? WaitResult::kGranted : WaitResult::kAgain;
+        });
   }
 
   [[nodiscard]] std::uint32_t parties() const noexcept { return parties_; }
 
  private:
-  struct Sleeper {
-    explicit Sleeper(ThreadId t) : tid(t) {}
-    ThreadId tid;
-    Sleeper* prev = nullptr;
-    Sleeper* next = nullptr;
-    bool queued = false;
-  };
-
-  void wait_for_sense(Ctx& ctx, std::uint64_t my_sense) {
-    const LockAttributes attrs = waiting_;
-    // A round with neither phase still probes once: the degenerate
-    // (0,_,0,_) tuple must observe the sense flip.
-    const std::uint32_t probes =
-        attrs.spin_count == 0 && attrs.sleep_ns == 0 ? 1 : attrs.spin_count;
-    for (;;) {
-      // Spin phase.
-      for (std::uint32_t i = 0; i < probes;) {
-        if (P::load(ctx, sense_) == my_sense) return;
-        P::pause(ctx);
-        if (probes != kInfiniteSpins) ++i;
-      }
-      if (attrs.sleep_ns == 0) continue;
-      // Sleep phase. The node lives on our stack: it is enqueued and - on
-      // every wake path, including timer expiry - dequeued under meta, so
-      // the releaser can never observe a dangling node.
-      Sleeper node(ctx.self());
-      meta_lock(ctx);
-      if (P::load(ctx, sense_) == my_sense) {
-        meta_unlock(ctx);
-        return;
-      }
-      enqueue_locked(node);
-      meta_unlock(ctx);
-      if (attrs.sleep_ns == kForever) {
-        P::block(ctx);
-      } else {
-        (void)P::block_for(ctx, attrs.sleep_ns);
-      }
-      meta_lock(ctx);
-      remove_locked(node);  // no-op if the releaser already unlinked us
-      meta_unlock(ctx);
-      if (P::load(ctx, sense_) == my_sense) return;
-    }
-  }
-
-  void wake_sleepers(Ctx& ctx) {
-    if (waiting_.sleep_ns == 0) return;  // pure-spin barrier: nobody sleeps
-    ThreadId tids[kMaxBatch];
-    for (;;) {
-      std::size_t n = 0;
-      meta_lock(ctx);
-      while (head_ != nullptr && n < kMaxBatch) {
-        Sleeper* s = head_;
-        remove_locked(*s);
-        tids[n++] = s->tid;
-      }
-      meta_unlock(ctx);
-      for (std::size_t i = 0; i < n; ++i) P::unblock(ctx, tids[i]);
-      if (n < kMaxBatch) return;
-    }
-  }
-
-  void meta_lock(Ctx& ctx) {
-    for (;;) {
-      if (P::load_relaxed(ctx, meta_) == 0 &&
-          P::fetch_or(ctx, meta_, 1) == 0) {
-        return;
-      }
-      P::pause(ctx);
-    }
-  }
-  void meta_unlock(Ctx& ctx) { P::store(ctx, meta_, 0); }
-
-  void enqueue_locked(Sleeper& node) {
-    node.prev = tail_;
-    node.next = nullptr;
-    node.queued = true;
-    if (tail_ != nullptr) {
-      tail_->next = &node;
-    } else {
-      head_ = &node;
-    }
-    tail_ = &node;
-  }
-
-  void remove_locked(Sleeper& node) {
-    if (!node.queued) return;
-    if (node.prev != nullptr) node.prev->next = node.next; else head_ = node.next;
-    if (node.next != nullptr) node.next->prev = node.prev; else tail_ = node.prev;
-    node.prev = node.next = nullptr;
-    node.queued = false;
-  }
-
-  static constexpr std::size_t kMaxBatch = 32;
-
   const std::uint32_t parties_;
   typename P::Word count_;
   typename P::Word sense_;
   typename P::Word meta_;
   const LockAttributes waiting_;
-  Sleeper* head_ = nullptr;  ///< guarded by meta
-  Sleeper* tail_ = nullptr;  ///< guarded by meta
+  WaiterQueue<WaitNode> sleepers_;         ///< guarded by meta
   std::vector<std::uint8_t> local_sense_;  ///< slot i owned by thread i
 };
 

@@ -4,12 +4,14 @@
 //
 // This is the kind of higher-level primitive the paper expects applications
 // to assemble from the configurable kernel mechanisms ("the construction of
-// new primitives on top of the existing ones").
+// new primitives on top of the existing ones"): the lock's meta guard and
+// waiter FIFO (platform/meta_guard.hpp) and its waiting component Phi
+// (core/wait.hpp) with the blocking tuple.
 #pragma once
 
-#include <atomic>
-
 #include "relock/core/usage_error.hpp"
+#include "relock/core/wait.hpp"
+#include "relock/platform/meta_guard.hpp"
 #include "relock/platform/platform.hpp"
 
 namespace relock {
@@ -30,13 +32,7 @@ class ConditionVariable {
   /// re-acquires `lock`. Mesa semantics: re-check your predicate.
   template <typename L>
   void wait(Ctx& ctx, L& lock) {
-    WaitNode node(ctx.self());
-    enqueue(ctx, node);
-    lock.unlock(ctx);
-    while (node.signaled.load(std::memory_order_acquire) == 0) {
-      P::block(ctx);
-    }
-    lock.lock(ctx);
+    (void)wait_until(ctx, lock, kForever);
   }
 
   /// Waits until `pred()` holds (predicate checked under the lock).
@@ -57,117 +53,46 @@ class ConditionVariable {
     // Anchor the deadline at entry: the unlock below can run a full release
     // module (direct handoff, sleeper wakes), and anchoring after it would
     // silently extend the caller's timeout by that much.
-    const Nanos deadline = P::now(ctx) + timeout;
-    WaitNode node(ctx.self());
-    enqueue(ctx, node);
+    return wait_until(ctx, lock, P::now(ctx) + timeout);
+  }
+
+  /// Wakes one waiter (FIFO).
+  void notify_one(Ctx& ctx) { notify(ctx, 1); }
+
+  /// Wakes every waiter.
+  void notify_all(Ctx& ctx) { notify(ctx, kAllWaiters); }
+
+ private:
+  template <typename L>
+  bool wait_until(Ctx& ctx, L& lock, Nanos deadline) {
+    WaitNode node(ctx.self(), /*sleeps=*/true);
+    meta_lock<P>(ctx, meta_);
+    waiters_.push_back(node);
+    meta_unlock<P>(ctx, meta_);
     lock.unlock(ctx);
-    bool signaled = false;
-    for (;;) {
-      if (node.signaled.load(std::memory_order_acquire) != 0) {
-        signaled = true;
-        break;
-      }
-      const Nanos now = P::now(ctx);
-      if (now >= deadline) break;
-      (void)P::block_for(ctx, deadline - now);
-    }
+    bool signaled =
+        wait_queued<P>(ctx, LockAttributes::blocking(), deadline,
+                       /*park_early=*/false,
+                       [&] { return node.is_granted(); }) ==
+        WaitResult::kGranted;
     if (!signaled) {
       // Timeout: withdraw - unless a notifier picked us in the meantime
-      // (it marks `signaled` under meta before waking).
-      meta_lock(ctx);
-      if (node.signaled.load(std::memory_order_relaxed) != 0) {
-        signaled = true;
-      } else {
-        remove_locked(node);
-      }
-      meta_unlock(ctx);
+      // (it marks the node granted under meta before waking).
+      meta_lock<P>(ctx, meta_);
+      signaled = node.is_granted();
+      if (!signaled) waiters_.remove(node);
+      meta_unlock<P>(ctx, meta_);
     }
     lock.lock(ctx);
     return signaled;
   }
 
-  /// Wakes one waiter (FIFO).
-  void notify_one(Ctx& ctx) {
-    meta_lock(ctx);
-    WaitNode* node = head_;
-    ThreadId tid = kInvalidThread;
-    if (node != nullptr) {
-      remove_locked(*node);
-      tid = node->tid;
-      node->signaled.store(1, std::memory_order_release);
-      // After this store the node (on the waiter's stack) may vanish.
-    }
-    meta_unlock(ctx);
-    if (tid != kInvalidThread) P::unblock(ctx, tid);
-  }
-
-  /// Wakes every waiter.
-  void notify_all(Ctx& ctx) {
-    // Capture tids under meta; wake outside it.
-    ThreadId tids[kMaxBatch];
-    for (;;) {
-      std::size_t n = 0;
-      meta_lock(ctx);
-      while (head_ != nullptr && n < kMaxBatch) {
-        WaitNode* node = head_;
-        remove_locked(*node);
-        tids[n++] = node->tid;
-        node->signaled.store(1, std::memory_order_release);
-      }
-      meta_unlock(ctx);
-      for (std::size_t i = 0; i < n; ++i) P::unblock(ctx, tids[i]);
-      if (n < kMaxBatch) return;
-    }
-  }
-
- private:
-  struct WaitNode {
-    explicit WaitNode(ThreadId t) : tid(t) {}
-    ThreadId tid;
-    std::atomic<std::uint32_t> signaled{0};
-    WaitNode* prev = nullptr;
-    WaitNode* next = nullptr;
-    bool queued = false;
-  };
-
-  static constexpr std::size_t kMaxBatch = 16;
-
-  void meta_lock(Ctx& ctx) {
-    for (;;) {
-      if (P::load_relaxed(ctx, meta_) == 0 &&
-          P::fetch_or(ctx, meta_, 1) == 0) {
-        return;
-      }
-      P::pause(ctx);
-    }
-  }
-  void meta_unlock(Ctx& ctx) { P::store(ctx, meta_, 0); }
-
-  void enqueue(Ctx& ctx, WaitNode& node) {
-    meta_lock(ctx);
-    node.prev = tail_;
-    node.next = nullptr;
-    node.queued = true;
-    if (tail_ != nullptr) {
-      tail_->next = &node;
-    } else {
-      head_ = &node;
-    }
-    tail_ = &node;
-    meta_unlock(ctx);
-  }
-
-  void remove_locked(WaitNode& node) {
-    if (!node.queued) return;
-    if (node.prev != nullptr) node.prev->next = node.next; else head_ = node.next;
-    if (node.next != nullptr) node.next->prev = node.prev; else tail_ = node.prev;
-    node.prev = node.next = nullptr;
-    node.queued = false;
+  void notify(Ctx& ctx, std::uint32_t n) {
+    grant_waiters<P>(ctx, meta_, waiters_, n, [](std::uint32_t) {});
   }
 
   typename P::Word meta_;
-  WaitNode* head_ = nullptr;  ///< guarded by meta
-  WaitNode* tail_ = nullptr;  ///< guarded by meta
+  WaiterQueue<WaitNode> waiters_;  ///< guarded by meta
 };
 
 }  // namespace relock

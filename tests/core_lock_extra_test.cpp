@@ -95,6 +95,64 @@ TEST(ActiveLockExtra, HandoffHintsSurviveTheMailbox) {
   EXPECT_EQ(order[0], 3) << "the manager must honor the hint";
 }
 
+TEST(ActiveLockExtra, SharedUnlocksAreServedByTheManager) {
+  // Reader-writer lock with a manager: every unlock_shared posts one count
+  // that the manager drains into a shared release. A lost post would leave
+  // a reader's hold behind, and the writer would never enter again.
+  Machine m(MachineParams::test_machine(6));
+  auto opts = base_options(SchedulerKind::kReaderWriter);
+  opts.execution = Execution::kActive;
+  opts.active_polling = false;
+  Lock lock(m, opts);
+  int readers_in = 0;
+  bool writer_in = false;
+  bool overlap = false;
+  int reads = 0;
+  int writes = 0;
+  std::vector<ThreadId> workers;
+  const ThreadId manager = m.spawn(5, [&](Thread& t) { lock.serve(t); });
+  for (int i = 0; i < 3; ++i) {
+    workers.push_back(m.spawn(static_cast<ProcId>(i), [&, i](Thread& t) {
+      m.compute(t, static_cast<Nanos>(1000 * (i + 1)));
+      for (int j = 0; j < 8; ++j) {
+        ASSERT_TRUE(lock.lock_shared(t));
+        ++readers_in;
+        if (writer_in) overlap = true;
+        m.compute(t, 4000);
+        --readers_in;
+        ++reads;
+        lock.unlock_shared(t);  // posts to the manager
+        m.compute(t, 1500);
+      }
+    }));
+  }
+  workers.push_back(m.spawn(3, [&](Thread& t) {
+    for (int j = 0; j < 8; ++j) {
+      m.compute(t, 3000);
+      ASSERT_TRUE(lock.lock(t));
+      writer_in = true;
+      if (readers_in != 0) overlap = true;
+      m.compute(t, 2000);
+      writer_in = false;
+      ++writes;
+      lock.unlock(t);
+    }
+  }));
+  bool free_after = false;
+  m.spawn(4, [&](Thread& t) {
+    for (ThreadId w : workers) m.join(t, w);
+    lock.stop_serving(t);
+    m.join(t, manager);
+    free_after = lock.try_lock(t);
+    if (free_after) lock.unlock(t);
+  });
+  m.run();
+  EXPECT_EQ(reads, 24);
+  EXPECT_EQ(writes, 8);
+  EXPECT_FALSE(overlap);
+  EXPECT_TRUE(free_after) << "a shared release was lost";
+}
+
 TEST(ActiveLockExtra, FallsBackToPassiveWhenNotServing) {
   Machine m(MachineParams::test_machine(2));
   auto opts = base_options(SchedulerKind::kFcfs);

@@ -62,7 +62,7 @@ class SchedulerUnit : public ::testing::Test {
 // ------------------------------------------------------- WaiterQueue -----
 
 TEST_F(SchedulerUnit, WaiterQueueFifoAndRemove) {
-  WaiterQueue<SimPlatform> q;
+  WaiterQueue<WaiterRecord<SimPlatform>> q;
   Rec& a = make(1);
   Rec& b = make(2);
   Rec& c = make(3);
@@ -83,7 +83,7 @@ TEST_F(SchedulerUnit, WaiterQueueFifoAndRemove) {
 }
 
 TEST_F(SchedulerUnit, WaiterQueueForEachEarlyStop) {
-  WaiterQueue<SimPlatform> q;
+  WaiterQueue<WaiterRecord<SimPlatform>> q;
   Rec& a = make(1);
   Rec& b = make(2);
   q.push_back(a);

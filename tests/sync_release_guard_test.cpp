@@ -66,6 +66,15 @@ TEST(SyncReleaseGuard, BarrierZeroPartiesThrows) {
   EXPECT_THROW(Barrier<NP>(domain, /*parties=*/0), LockUsageError);
 }
 
+TEST(SyncReleaseGuard, BarrierTimeoutTupleThrows) {
+  // arrive_and_wait cannot report a timeout, so a waiting policy with one
+  // is refused rather than silently dropped.
+  native::Domain domain;
+  EXPECT_THROW(Barrier<NP>(domain, /*parties=*/2, Placement::any(),
+                           LockAttributes::conditional(1'000'000)),
+               LockUsageError);
+}
+
 TEST(SyncReleaseGuard, BarrierThreadIdBeyondMaxThreadsThrows) {
   native::Domain domain;
   native::Context ctx(domain);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -304,6 +305,43 @@ TEST(SemaphoreNative, BoundedResourcePool) {
   EXPECT_GE(max_in_use.load(), 1);
 }
 
+// Spin-policy primitives must make progress with more threads than
+// processors (CI also runs this binary under `taskset -c 0`): a failed
+// probe has to give way to the thread that will grant the waiter.
+constexpr auto kOneCoreBound = std::chrono::seconds(5);
+
+/// A short critical section: 200 iterations the compiler cannot drop.
+void critical_section() {
+  static std::atomic<std::uint64_t> sink{0};
+  for (int k = 0; k < 200; ++k) sink.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(SemaphoreNative, SpinPolicyFinishesOnOneCore) {
+  native::Domain dom;
+  Semaphore<NP> sem(dom, 1, Placement::any(), LockAttributes::spin());
+  constexpr int kThreads = 4, kIters = 10'000;
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlap{false};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      native::Context ctx(dom);
+      for (int j = 0; j < kIters; ++j) {
+        ASSERT_TRUE(sem.acquire(ctx));
+        if (inside.fetch_add(1) != 0) overlap.store(true);
+        critical_section();
+        inside.fetch_sub(1);
+        sem.release(ctx);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kOneCoreBound);
+  EXPECT_FALSE(overlap.load()) << "one permit, two holders";
+  EXPECT_EQ(sem.count_hint(), 1u);
+}
+
 // ------------------------------------------------------------ Barrier ----
 
 TEST(BarrierSim, ReleasesAllPartiesTogether) {
@@ -377,6 +415,28 @@ TEST(BarrierSim, TimedSleepBarrierCompletes) {
   EXPECT_EQ(passed, 3);
 }
 
+TEST(BarrierSim, BackoffDelayThinsSenseProbes) {
+  // The delay attribute applies to barrier waiters too: under a backoff
+  // policy they read the (remote) sense word far less often than under
+  // pure spinning, across the same long wait for the last arriver.
+  const auto remote_reads = [](LockAttributes waiting) {
+    Machine m(MachineParams::test_machine(3));
+    Barrier<SimPlatform> barrier(m, 3, Placement::on(0), waiting);
+    for (int i = 0; i < 3; ++i) {
+      m.spawn(static_cast<ProcId>(i), [&, i](Thread& t) {
+        m.compute(t, i == 0 ? 200'000 : 1000);  // proc 0 arrives last
+        barrier.arrive_and_wait(t);
+      });
+    }
+    m.run();
+    return m.stats().reads_remote;
+  };
+  const std::uint64_t spin = remote_reads(LockAttributes::spin());
+  const std::uint64_t backoff =
+      remote_reads(LockAttributes::backoff_spin(1000));
+  EXPECT_LT(backoff * 4, spin) << "backoff " << backoff << ", spin " << spin;
+}
+
 TEST(BarrierSim, DegenerateTupleObservesSenseFlip) {
   Machine m(MachineParams::test_machine(3));
   Barrier<SimPlatform> barrier(m, 3, Placement::on(0), kNoPhase);
@@ -412,6 +472,29 @@ TEST(BarrierNative, PhasedComputation) {
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_FALSE(torn.load());
+}
+
+TEST(BarrierNative, SpinPolicyFinishesOnOneCore) {
+  native::Domain dom;
+  constexpr int kThreads = 4, kRounds = 1000;
+  Barrier<NP> barrier(dom, kThreads, Placement::any(), LockAttributes::spin());
+  std::atomic<int> arrived{0};
+  std::atomic<bool> torn{false};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      native::Context ctx(dom);
+      for (int r = 0; r < kRounds; ++r) {
+        arrived.fetch_add(1);
+        barrier.arrive_and_wait(ctx);
+        if (arrived.load() < kThreads * (r + 1)) torn.store(true);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kOneCoreBound);
   EXPECT_FALSE(torn.load());
 }
 
